@@ -48,9 +48,6 @@ class EventTrace:
     events: list = field(default_factory=list)
     interval_counts: dict = field(default_factory=dict)
 
-    def delivered_events(self):
-        return [e for e in self.events if e.delivered]
-
     def recount(self) -> dict:
         """Independent per-interval recount of delivered messages."""
         counts = {}

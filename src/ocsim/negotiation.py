@@ -7,7 +7,6 @@ lowest index / lexicographic agent id so runs are fully deterministic.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .model import quantize
@@ -108,12 +107,11 @@ class NegotiationAgent:
     """One community participant. Owns one or more units (after task
     reassignment) whose candidate sets are cross-summed into its feasible set."""
 
-    def __init__(self, agent_id, unit, target, is_compromised=False):
+    def __init__(self, agent_id, unit, target):
         self.agent_id = agent_id
         self.units = [unit]
         self.feasible = [tuple(s) for s in unit.feasible_schedules]
         self.target = list(target)
-        self.is_compromised = is_compromised
         self.neighbors = set()
         self.topology_generation = 0
         self.blacklist = set()

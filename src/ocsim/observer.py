@@ -11,6 +11,11 @@ shipped references are a rate/delay margin check (levels 1-2), a robust
 z-score check on reported values (level 3+), and a feasibility check against
 the unit constraints (level 4). Any callable with the same signature can be
 plugged in instead.
+
+The learning detectors are split into a train step over the normal-operation
+window and a score step over new observations. A `TrainedObserver` projects
+and trains the window once, when detection starts; every later interval is
+only projected and scored against the frozen models.
 """
 from __future__ import annotations
 
@@ -91,6 +96,16 @@ def _own_values(event_content: dict, sender: str):
     return tuple(entry["values"])
 
 
+def _schedules(constraints):
+    """A feasible-schedule digest as a tuple of schedule tuples, None when
+    empty. A tuple is taken as already converted."""
+    if not constraints:
+        return None
+    if type(constraints) is tuple:
+        return constraints
+    return tuple(tuple(s) for s in constraints)
+
+
 def project(event, level: int, traffic_count=None, constraints=None) -> Observation:
     """Project a delivered trace event down to one information level.
 
@@ -109,7 +124,7 @@ def project(event, level: int, traffic_count=None, constraints=None) -> Observat
     if level >= 3:
         obs.content_values = _own_values(msg.content, msg.sender)
     if level >= 4:
-        obs.unit_constraints = tuple(tuple(s) for s in constraints) if constraints else None
+        obs.unit_constraints = _schedules(constraints)
     return obs
 
 
@@ -121,20 +136,24 @@ def build_observations(trace_events, level, constraints_by_sender=None):
     """Fold a list of delivered trace events into level-projected observations.
 
     Only negotiation traffic carries power values; control messages still
-    count for levels 1-2 (they are visible communication events).
+    count for levels 1-2 (they are visible communication events). A sender's
+    constraints are converted once per call, not once per message.
     """
     per_sender_interval = {}
     for e in trace_events:
         key = (e.message.sender, e.message.interval)
         per_sender_interval[key] = per_sender_interval.get(key, 0) + 1
+    schedules = {}
     out = []
     for e in trace_events:
+        key = (e.message.sender, e.message.interval)
         constraints = None
-        if constraints_by_sender:
-            constraints = constraints_by_sender.get((e.message.sender, e.message.interval)) \
-                or constraints_by_sender.get(e.message.sender)
-        out.append(project(e, level,
-                           traffic_count=per_sender_interval[(e.message.sender, e.message.interval)],
+        if level >= 4 and constraints_by_sender:
+            if key not in schedules:
+                schedules[key] = _schedules(constraints_by_sender.get(key)
+                                            or constraints_by_sender.get(key[0]))
+            constraints = schedules[key]
+        out.append(project(e, level, traffic_count=per_sender_interval[key],
                            constraints=constraints))
     return out
 
@@ -143,14 +162,21 @@ def build_observations(trace_events, level, constraints_by_sender=None):
 
 def detect_constraint(observations, scope=None) -> list:
     """Level 4: flag senders whose reported values match no feasible schedule
-    within the per-slot tolerance."""
+    within the per-slot tolerance. A broadcast reaches several receivers, so
+    each distinct (values, constraints) pair is measured once."""
     reports = {}
+    distances = {}
     for obs in observations:
-        if obs.content_values is None or obs.unit_constraints is None:
+        if obs.content_values is None or obs.unit_constraints is None \
+                or obs.sender in reports:
             continue
-        dist = min(max(abs(a - b) for a, b in zip(obs.content_values, sched))
-                   for sched in obs.unit_constraints)
-        if dist > CONSTRAINT_EPSILON and obs.sender not in reports:
+        key = (obs.content_values, obs.unit_constraints)
+        dist = distances.get(key)
+        if dist is None:
+            dist = distances[key] = min(
+                max(abs(a - b) for a, b in zip(obs.content_values, sched))
+                for sched in obs.unit_constraints)
+        if dist > CONSTRAINT_EPSILON:
             reports[obs.sender] = AnomalyReport(
                 suspect=obs.sender, first_flagged_interval=obs.interval,
                 score=dist, detector="constraint", scope=scope)
@@ -183,10 +209,10 @@ def train_statistical(observations):
     return model
 
 
-def detect_statistical(observations, training, scope=None) -> list:
-    """Level 3+: robust z-score per slot; a sender is flagged after
-    Z_CONSECUTIVE consecutive messages with any slot above Z_THRESHOLD."""
-    model = train_statistical(training)
+def score_statistical(observations, model, scope=None) -> list:
+    """Level 3+: robust z-score per slot against a `train_statistical` model;
+    a sender is flagged after Z_CONSECUTIVE consecutive messages with any slot
+    above Z_THRESHOLD."""
     streak = {}
     reports = {}
     for obs in observations:
@@ -210,6 +236,11 @@ def detect_statistical(observations, training, scope=None) -> list:
     return list(reports.values())
 
 
+def detect_statistical(observations, training, scope=None) -> list:
+    """Train on `training`, then score `observations`."""
+    return score_statistical(observations, train_statistical(training), scope)
+
+
 def _traffic_profile(observations):
     """Per sender: per-interval message counts and mean delays."""
     counts, delays = {}, {}
@@ -221,17 +252,26 @@ def _traffic_profile(observations):
     return counts, delays
 
 
-def detect_traffic(observations, training, scope=None) -> list:
-    """Levels 1-2: flag senders whose per-interval message rate or mean delay
-    grossly deviates from training margins. Content is never consulted."""
-    train_counts, train_delays = _traffic_profile(training)
+def train_traffic(observations):
+    """Per sender, the range of per-interval message rates and of per-interval
+    mean delays over a normal-operation training window."""
+    train_counts, train_delays = _traffic_profile(observations)
+    means = {}
+    for (sender, _), vs in train_delays.items():
+        means.setdefault(sender, []).append(sum(vs) / len(vs))
     rate_bounds, delay_bounds = {}, {}
     for sender, per_int in train_counts.items():
         rates = list(per_int.values())
         rate_bounds[sender] = (min(rates), max(rates))
-        means = [sum(vs) / len(vs) for (s, _), vs in train_delays.items() if s == sender]
-        if means:
-            delay_bounds[sender] = (min(means), max(means))
+        if sender in means:
+            delay_bounds[sender] = (min(means[sender]), max(means[sender]))
+    return rate_bounds, delay_bounds
+
+
+def score_traffic(observations, bounds, scope=None) -> list:
+    """Levels 1-2: flag senders whose per-interval message rate or mean delay
+    grossly deviates from `train_traffic` bounds. Content is never consulted."""
+    rate_bounds, delay_bounds = bounds
     obs_counts, obs_delays = _traffic_profile(observations)
     reports = {}
 
@@ -256,6 +296,11 @@ def detect_traffic(observations, training, scope=None) -> list:
                 if not (dlo - DELAY_SLACK <= mean_d <= dhi + DELAY_SLACK):
                     flag(sender, interval, mean_d)
     return list(reports.values())
+
+
+def detect_traffic(observations, training, scope=None) -> list:
+    """Train on `training`, then score `observations`."""
+    return score_traffic(observations, train_traffic(training), scope)
 
 
 # --- scope construction and architecture dispatch ---
@@ -304,24 +349,52 @@ def dedup_reports(reports) -> list:
     return [best[s] for s in sorted(best)]
 
 
+class TrainedObserver:
+    """One observer architecture trained on its normal-operation window.
+
+    Each part is one information level over a list of scopes, with one model
+    per scope: traffic bounds at levels 1-2, the robust z-score model at
+    level 3+. The window is projected and trained here, once; `detect` only
+    projects and scores new events. MultiLeveled is a centralized traffic
+    part without message content (level 2) plus decentralized
+    content/constraint parts (level 4); its `level` is not used.
+    """
+
+    def __init__(self, arch, level, training_events, agent_ids, unit_types, seed):
+        if arch == "MultiLeveled":
+            parts = [(2, make_scopes("Centralized", agent_ids, unit_types, seed)),
+                     (4, make_scopes("Decentralized", agent_ids, unit_types, seed))]
+        else:
+            parts = [(level, make_scopes(arch, agent_ids, unit_types, seed))]
+        self.parts = []  # (level, [(scope, model)])
+        for part_level, scopes in parts:
+            # training never reads unit constraints, so none are attached
+            train_obs = build_observations(training_events, part_level)
+            train = train_traffic if part_level <= 2 else train_statistical
+            self.parts.append((part_level, [(scope, train(scope_filter(train_obs, scope)))
+                                            for scope in scopes]))
+
+    def detect(self, detection_events, constraints_by_sender=None) -> list:
+        reports = []
+        for level, models in self.parts:
+            detect_obs = build_observations(detection_events, level, constraints_by_sender)
+            for scope, model in models:
+                detect = scope_filter(detect_obs, scope)
+                if level <= 2:
+                    reports.extend(score_traffic(detect, model, scope))
+                else:
+                    reports.extend(score_statistical(detect, model, scope))
+                    if level >= 4:
+                        reports.extend(detect_constraint(detect, scope))
+        return dedup_reports(reports)
+
+
 def run_observer(arch, level, training_events, detection_events, agent_ids,
                  unit_types, constraints_by_sender, seed) -> list:
     """Run one architecture at one information level over a trace split into
     a normal-operation training window and a detection window."""
-    scopes = make_scopes(arch, agent_ids, unit_types, seed)
-    reports = []
-    train_obs = build_observations(training_events, level, constraints_by_sender)
-    detect_obs = build_observations(detection_events, level, constraints_by_sender)
-    for scope in scopes:
-        train = scope_filter(train_obs, scope)
-        detect = scope_filter(detect_obs, scope)
-        if level <= 2:
-            reports.extend(detect_traffic(detect, train, scope))
-        else:
-            reports.extend(detect_statistical(detect, train, scope))
-            if level >= 4:
-                reports.extend(detect_constraint(detect, scope))
-    return dedup_reports(reports)
+    return TrainedObserver(arch, level, training_events, agent_ids, unit_types,
+                           seed).detect(detection_events, constraints_by_sender)
 
 
 def run_multi_leveled(training_events, detection_events, agent_ids, unit_types,
@@ -329,20 +402,8 @@ def run_multi_leveled(training_events, detection_events, agent_ids, unit_types,
     """Proposed composition: a centralized traffic observer without message
     content (level 2) plus decentralized content/constraint observers
     (level 4), reports deduplicated by suspect."""
-    reports = []
-    central = make_scopes("Centralized", agent_ids, unit_types, seed)[0]
-    train2 = build_observations(training_events, 2)
-    detect2 = build_observations(detection_events, 2)
-    reports.extend(detect_traffic(scope_filter(detect2, central),
-                                  scope_filter(train2, central), central))
-    train4 = build_observations(training_events, 4, constraints_by_sender)
-    detect4 = build_observations(detection_events, 4, constraints_by_sender)
-    for scope in make_scopes("Decentralized", agent_ids, unit_types, seed):
-        train = scope_filter(train4, scope)
-        detect = scope_filter(detect4, scope)
-        reports.extend(detect_statistical(detect, train, scope))
-        reports.extend(detect_constraint(detect, scope))
-    return dedup_reports(reports)
+    return TrainedObserver("MultiLeveled", 4, training_events, agent_ids, unit_types,
+                           seed).detect(detection_events, constraints_by_sender)
 
 
 def export_reports_jsonl(reports, path) -> None:

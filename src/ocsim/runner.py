@@ -61,8 +61,7 @@ class Simulation:
         self.unit_types = {}
         self.compromised_id = None
         for spec in config.agents:
-            agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target,
-                                         is_compromised=spec.is_compromised)
+            agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target)
             self.agents[spec.agent_id] = agent
             self.unit_types[spec.agent_id] = spec.unit.unit_type
             if spec.is_compromised:
@@ -96,6 +95,7 @@ class Simulation:
         self.control_tick = None
         self.gossip_completion_tick = None
         self._interval_event_slices = {}
+        self._observer = None  # trained at the first detection interval
 
     # --- message handling ---
 
@@ -223,15 +223,12 @@ class Simulation:
 
     def _run_detection(self, interval):
         cfg = self.config
-        detection = self._interval_events(interval)
-        training = self._training_events()
-        constraints = self._constraints_map()
-        if cfg.observer_arch == "MultiLeveled":
-            new = obs.run_multi_leveled(training, detection, list(self.agents),
-                                        self.unit_types, constraints, cfg.seed)
-        else:
-            new = obs.run_observer(cfg.observer_arch, cfg.info_level, training, detection,
-                                   list(self.agents), self.unit_types, constraints, cfg.seed)
+        if self._observer is None:
+            # the training window is complete once detection starts
+            self._observer = obs.TrainedObserver(cfg.observer_arch, cfg.info_level,
+                                                 self._training_events(), list(self.agents),
+                                                 self.unit_types, cfg.seed)
+        new = self._observer.detect(self._interval_events(interval), self._constraints_map())
         known = {r.suspect for r in self.reports}
         self.reports.extend(r for r in new if r.suspect not in known)
 

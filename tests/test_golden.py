@@ -1,0 +1,81 @@
+"""Golden lock: SHA-256 digests of seed-1 outputs.
+
+Refactors and performance changes must leave every digest below unchanged.
+A digest that moves means the program's behaviour moved; change it only in a
+change that means to alter behaviour and says so.
+"""
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from ocsim.cli import execute_run
+from ocsim.model import generate_default_scenario
+from ocsim.runner import run_scenario
+
+# controller_arch -> artifact written by cli.execute_run -> SHA-256
+ARTIFACT_DIGESTS = {
+    "Centralized": {
+        "records.csv": "1930507e969a8dd7cdebb5e7700f9231b5af68caacf0974f6926acf4794a18e4",
+        "evaluation.json": "05fdf42ee83cae706e939da591a737ae8e3583b6f5d2606fdc87670c72b4849d",
+        "trace.jsonl": "c0ad41a74f1474de69a79d13760964991a8edbb73de3284bb7ffeb0e87e12ab8",
+    },
+    "Decentralized": {
+        "records.csv": "f4d3a5ce6c314e1aa9114d9460bd947196137567163258e6702b73a77338f00d",
+        "evaluation.json": "9023db23b4bd4b5e4b8a53d182e9ea994d5d5a6306ee349c43ccb03a50f8204d",
+        "trace.jsonl": "a98e9c911bfd2c7e0ec346c4c88626c6f2ff813caa868bb09fc272c3ec0362de",
+    },
+    "MultiLeveled": {
+        "records.csv": "2a744b15c8b8b91d024d140a4c814706866724236da4ab7fffc14251024d04c1",
+        "evaluation.json": "d7efc522b277380976e3cbd5dd51de2cac3fb10431f244f53ac675f3e04b7748",
+        "trace.jsonl": "900b6fb3e63a3631a579935dd72d824549c1fad6107e89fac62b3f752ca8aeb9",
+    },
+}
+
+# SHA-256 of an empty report list: nothing was flagged
+NO_REPORTS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+
+# (info_level, tampered) -> SHA-256 of the report list of a Decentralized
+# observer run without a controller; level 3 is the one tampered run that the
+# robust z-score detector flags first
+REPORT_DIGESTS = {
+    (2, True): NO_REPORTS,
+    (2, False): NO_REPORTS,
+    (3, True): "972a2e6fcc6f2a646079f7beeb306d04998fa105252c3331a8efa3685d57bcee",
+    (4, True): "ce17bee07da2dca1769d45e2e2f3ff4b9fd5ae1e278b893e0fb93d864f8da203",
+    (4, False): NO_REPORTS,
+}
+
+
+def _file_digest(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def artifact_digests(controller, out_dir):
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), controller_arch=controller)
+    execute_run(cfg, str(out_dir))
+    return {name: _file_digest(out_dir / name) for name in ARTIFACT_DIGESTS[controller]}
+
+
+def report_digest(level, tampered):
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch="Decentralized",
+                              info_level=level, controller_arch="None")
+    if not tampered:
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(
+            cfg.attack, active_from_interval=cfg.num_intervals))
+    reports = [[r.suspect, r.first_flagged_interval, r.score, r.detector,
+                r.scope.describe() if r.scope else None]
+               for r in run_scenario(cfg).reports]
+    return hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("controller", sorted(ARTIFACT_DIGESTS))
+def test_run_artifacts_match_their_golden_digests(controller, tmp_path):
+    assert artifact_digests(controller, tmp_path) == ARTIFACT_DIGESTS[controller]
+
+
+@pytest.mark.parametrize("level,tampered", sorted(REPORT_DIGESTS))
+def test_observer_reports_match_their_golden_digests(level, tampered):
+    assert report_digest(level, tampered) == REPORT_DIGESTS[(level, tampered)]

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from ocsim import negotiation as neg
+from ocsim import observer as obs
 from ocsim.metrics import classify_phase
 from ocsim.model import generate_default_scenario
 from ocsim.runner import CONVERGENCE_RESOLUTION, run_scenario
@@ -90,3 +91,32 @@ def test_quality_degrades_only_while_the_attack_is_unmitigated(centralized_run):
         by_phase.setdefault(r.phase, []).append(r.solution_quality)
     assert max(by_phase["Normal"]) < min(q for q in by_phase["Disruption"])
     assert max(by_phase["ControlActive"]) <= max(by_phase["Normal"])
+
+
+def test_the_observer_trains_once_per_scope(monkeypatch):
+    """The training window is fixed once detection starts, so an untampered
+    run that never reports trains each of its 8 scopes once, not once per
+    detection interval."""
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch="Decentralized",
+                              info_level=4, controller_arch="None")
+    cfg = dataclasses.replace(cfg, attack=dataclasses.replace(
+        cfg.attack, active_from_interval=cfg.num_intervals))
+    trained = []
+    train = obs.train_statistical
+
+    def counting(observations):
+        trained.append(len(observations))
+        return train(observations)
+
+    monkeypatch.setattr(obs, "train_statistical", counting)
+    res = run_scenario(cfg)
+    assert res.reports == []
+    assert len(trained) == len(cfg.agents) == 8
+
+
+@pytest.mark.parametrize("observer_arch", ["Decentralized", "MultiLeveled"])
+def test_a_short_training_window_is_refused(observer_arch):
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch=observer_arch,
+                              info_level=4, incident_interval=3)
+    with pytest.raises(obs.InsufficientTrainingError):
+        run_scenario(cfg)
