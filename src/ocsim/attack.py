@@ -8,7 +8,7 @@ message content.
 """
 from __future__ import annotations
 
-import copy
+import dataclasses
 
 from .model import AttackConfig
 
@@ -29,22 +29,36 @@ def _transform(values, config: AttackConfig):
     raise InvalidAttackConfig(f"unknown attack mode {config.mode!r}")
 
 
-def tamper(message, config: AttackConfig, current_interval: int):
+def _falsify(content: dict, sender, config: AttackConfig) -> dict:
+    """Copy of `content` with the sender's own values transformed. The copy
+    shares every part it does not falsify, which is safe because sent
+    content is immutable."""
+    content = dict(content)
+    entries = content.get("entries", {})
+    if sender in entries:
+        content["entries"] = {**entries, sender: {
+            **entries[sender], "values": _transform(entries[sender]["values"], config)}}
+    best = content.get("best")
+    if best is not None and sender in best.get("assignment", {}):
+        assignment = best["assignment"]
+        content["best"] = {**best, "assignment": {
+            **assignment, sender: _transform(assignment[sender], config)}}
+    return content
+
+
+def tamper(message, config: AttackConfig, current_interval: int, falsified=None):
     """Return the wire view of a compromised agent's message.
 
     Metadata (ids, ticks, endpoints) is never altered; before the activation
-    interval the message passes through unchanged.
+    interval the message passes through unchanged. The input message and its
+    content are never mutated. `falsified` is the falsified content already
+    made for another message of the same broadcast (same content object);
+    it is reused as is, so all receivers of a broadcast see one wire view.
     """
     if current_interval < config.active_from_interval:
         return message
     if message.kind != "WorkingMemoryUpdate":
         return message
-    msg = copy.deepcopy(message)
-    sender = msg.sender
-    entries = msg.content.get("entries", {})
-    if sender in entries:
-        entries[sender]["values"] = _transform(entries[sender]["values"], config)
-    best = msg.content.get("best")
-    if best is not None and sender in best.get("assignment", {}):
-        best["assignment"][sender] = _transform(best["assignment"][sender], config)
-    return msg
+    if falsified is None:
+        falsified = _falsify(message.content, message.sender, config)
+    return dataclasses.replace(message, content=falsified)

@@ -29,7 +29,6 @@ class ControlAction:
 @dataclass
 class BlacklistState:
     excluded: set = field(default_factory=set)
-    propagation_log: list = field(default_factory=list)  # (informer, informed, tick)
 
     def add(self, suspect) -> bool:
         if suspect in self.excluded:

@@ -91,8 +91,9 @@ class Kernel:
         drawn = self._delay_rng.randint(self.delay_min, self.delay_max)
         if delay is None:
             delay = drawn
-        # content is treated as immutable once handed to send(); the attack
-        # filter copies before mutating, so no defensive copy here
+        # content is immutable once handed to send(): the attack filter
+        # copies instead of mutating, and negotiation decodes each broadcast's
+        # content once for all its receivers, so no defensive copy here
         msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,
                       sent_tick=self.clock, delivered_tick=self.clock + delay,
                       kind=kind, content=content,

@@ -123,9 +123,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
         v.append("attack.scale_factor: Scale within [0.99, 1.01] is a no-op attack")
     if at.mode == "Replace" and at.replacement is None:
         v.append("attack.replacement: Replace mode requires a replacement schedule")
+    elif at.mode == "Replace" and len(at.replacement) != config.intervals_per_negotiation:
+        v.append(f"attack.replacement: length {len(at.replacement)} != "
+                 f"intervals_per_negotiation {config.intervals_per_negotiation}")
 
     seen_agent, seen_unit = set(), set()
-    n_compromised = 0
+    compromised = None
     for i, a in enumerate(config.agents):
         path = f"agents[{i}]"
         if a.agent_id in seen_agent:
@@ -148,7 +151,10 @@ def validate_scenario(config: ScenarioConfig) -> list:
                 v.append(f"{path}.unit.feasible_schedules[{j}]: non-finite value")
                 break
         if a.is_compromised:
-            n_compromised += 1
+            if compromised is not None:
+                v.append(f"{path}.is_compromised: only one compromised agent is "
+                         f"supported, {compromised!r} already is")
+            compromised = a.agent_id
     return v
 
 

@@ -75,7 +75,9 @@ def candidate_better(new: Candidate | None, old: Candidate | None) -> bool:
 
 def merge_memories(local: WorkingMemory, received: WorkingMemory):
     """Reconcile gossip state: per entry keep the higher revision (tie keeps
-    local); candidate replaced per candidate_better. Returns (merged, changed)."""
+    local); candidate replaced per candidate_better. Returns (merged, changed).
+    `received` may be shared by several receivers: it is only read, and its
+    entries and candidate are adopted as is (neither is ever mutated)."""
     merged = WorkingMemory(entries=dict(local.entries), best_candidate=local.best_candidate)
     changed = False
     for aid, (values, rev) in received.entries.items():
@@ -118,6 +120,10 @@ class NegotiationAgent:
         self.memory = WorkingMemory()
         self._jitter = {}
         self.dirty = False  # merged new information, response still pending
+        # decoded broadcasts, shared with the interval's other receivers (set
+        # by run_negotiation): (id(content), blacklist, target) -> (content,
+        # WorkingMemory); holding the content keeps its id from being reused
+        self.decoded = {}
 
     # --- task reassignment ---
     def adopt_unit(self, unit):
@@ -158,8 +164,14 @@ class NegotiationAgent:
             return
         if msg.sender in self.blacklist:
             return
-        received = decode_memory(msg.content, drop=self.blacklist, target=self.target)
-        merged, changed = merge_memories(self.memory, received)
+        # one broadcast reaches every neighbor with the same content object;
+        # receivers that drop the same agents share one read-only decode
+        key = (id(msg.content), frozenset(self.blacklist), tuple(self.target))
+        hit = self.decoded.get(key)
+        if hit is None:
+            hit = self.decoded[key] = (msg.content, decode_memory(
+                msg.content, drop=self.blacklist, target=self.target))
+        merged, changed = merge_memories(self.memory, hit[1])
         self.memory = merged
         if changed:
             self.dirty = True
@@ -296,6 +308,24 @@ def decode_memory(content: dict, drop=(), target=None) -> WorkingMemory:
     return WorkingMemory(entries=entries, best_candidate=best)
 
 
+def gossip_to_quiescence(kernel, agents):
+    """Run the kernel until its queue drains. After each tick every agent
+    that merged new information and is not bus-excluded answers with one
+    broadcast, in sorted id order."""
+    order = sorted(agents)
+
+    def flush(k, tick):
+        for aid in order:
+            if agents[aid].dirty and aid not in k.excluded:
+                agents[aid].respond(k)
+
+    kernel.tick_hook = flush
+    try:
+        kernel.run_to_quiescence()
+    finally:
+        kernel.tick_hook = None
+
+
 def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
     """Run one negotiation episode to global quiescence.
 
@@ -308,22 +338,15 @@ def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
     kernel.current_interval = interval
     start_count = kernel.trace.interval_counts.get(interval, 0)
     active = {aid: ag for aid, ag in agents.items() if aid not in kernel.excluded}
+    decoded = {}
     for ag in active.values():
         ag.reset_for_interval(jitter if jitter is not None else {})
+        ag.decoded = decoded
     start_tick = kernel.clock
-
-    def flush(k, tick):
-        for aid in sorted(active):
-            if active[aid].dirty and aid not in k.excluded:
-                active[aid].respond(k)
-
-    kernel.tick_hook = flush
-    try:
-        if initiator_id in active:
-            active[initiator_id].initiate(kernel)
-        kernel.run_to_quiescence()
-    finally:
-        kernel.tick_hook = None
+    if initiator_id in active:
+        active[initiator_id].initiate(kernel)
+    gossip_to_quiescence(kernel, active)
+    decoded.clear()  # control traffic before the next episode decodes anew
     duration = kernel.clock - start_tick
     count = kernel.trace.interval_counts.get(interval, 0) - start_count
     assignment = {}

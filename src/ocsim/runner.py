@@ -8,6 +8,7 @@ immediately when `immediate_react` is set).
 """
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 
@@ -75,11 +76,6 @@ class Simulation:
 
         dm = config.delay_model
         self.kernel = Kernel(config.seed, dm.min_ticks, dm.max_ticks, tick_cap=tick_cap)
-        for aid in self.agents:
-            self.kernel.register(aid, self._agent_handler(aid))
-        self.kernel.register(CENTRAL_ID, self._central_handler)
-        if self.compromised_id is not None:
-            self.kernel.outbound_filter = self._wire_filter
 
         self.central_blacklist = ctrl.BlacklistState()
         # per-agent lag between learning of a blacklist entry and applying the
@@ -88,7 +84,7 @@ class Simulation:
         self._react_lag = {aid: random.Random(f"ocsim-react:{config.seed}:{aid}").randint(8, 64)
                            for aid in self.agents}
         self._notice_seen = set()
-        self.propagation_log = []
+        self._last_wire = (None, None)  # (sent content, its wire view) of the attack filter
         self.reports = []
         self.actions = []
         self.control_done = False
@@ -99,10 +95,30 @@ class Simulation:
 
     # --- message handling ---
 
+    def _wire(self):
+        """Connect the kernel to this simulation's handlers and attack filter.
+        They close over the simulation, so `_unwire` drops them again when
+        the run ends: otherwise simulation, kernel and the retained trace
+        form one reference cycle that only a full collection can free."""
+        for aid in self.agents:
+            self.kernel.register(aid, self._agent_handler(aid))
+        self.kernel.register(CENTRAL_ID, self._central_handler)
+        if self.compromised_id is not None:
+            self.kernel.outbound_filter = self._wire_filter
+
+    def _unwire(self):
+        self.kernel.handlers.clear()
+        self.kernel.outbound_filter = None
+
     def _wire_filter(self, msg):
         if msg.sender != self.compromised_id:
             return msg
-        return attack_mod.tamper(msg, self.config.attack, self.kernel.current_interval)
+        # a broadcast sends one content object to each neighbor in turn
+        source, wire = self._last_wire
+        wire = attack_mod.tamper(msg, self.config.attack, self.kernel.current_interval,
+                                 falsified=wire.content if source is msg.content else None)
+        self._last_wire = (msg.content, wire)
+        return wire
 
     def _agent_handler(self, aid):
         agent = self.agents[aid]
@@ -133,7 +149,6 @@ class Simulation:
                     # but apply the exclusion only after the local controller
                     # has re-checked it against its own observer
                     self._notice_seen.add((aid, suspect))
-                    self.propagation_log.append((msg.sender, aid, kernel.clock))
                     for nb in sorted(agent.neighbors - {suspect}):
                         kernel.send(aid, nb, "BlacklistNotice", {"suspect": suspect})
                     kernel.send(aid, aid, "BlacklistNotice", {"suspect": suspect},
@@ -247,12 +262,14 @@ class Simulation:
         return min(pending, key=lambda r: (priority.get(r.detector, 3),
                                            r.first_flagged_interval, r.suspect))
 
+    def _blacklist(self):
+        """Every agent excluded by the central controller or by any local one."""
+        return self.central_blacklist.excluded.union(
+            *(agent.blacklist for agent in self.agents.values()))
+
     def _finish_exclusion(self):
         """Cut the suspects off the bus once the controllers are done."""
-        excluded = set(self.central_blacklist.excluded)
-        for agent in self.agents.values():
-            excluded |= agent.blacklist
-        self.kernel.excluded.update(excluded)
+        self.kernel.excluded.update(self._blacklist())
         self.control_done = True
 
     def _apply_control_centralized(self, report):
@@ -302,18 +319,7 @@ class Simulation:
                              "score": report.score,
                              "detector": report.detector},
                             delay=self.REACTION_LATENCY)
-
-        def flush(k, tick):
-            for aid in sorted(self.agents):
-                agent = self.agents[aid]
-                if agent.dirty and aid not in k.excluded:
-                    agent.respond(k)
-
-        kernel.tick_hook = flush
-        try:
-            kernel.run_to_quiescence()
-        finally:
-            kernel.tick_hook = None
+        neg.gossip_to_quiescence(kernel, self.agents)
         self.gossip_completion_tick = kernel.clock
         self._finish_exclusion()
 
@@ -332,9 +338,25 @@ class Simulation:
     # --- main loop ---
 
     def run(self) -> RunResult:
+        # Delivered trace events never change, so each finished interval is
+        # frozen out of the cyclic collector's reach: full collections then
+        # stop re-walking the whole retained trace. gc.unfreeze() thaws every
+        # frozen object, so freeze only if nothing else has frozen any.
+        freeze = gc.get_freeze_count() == 0
+        self._wire()
+        try:
+            return self._run_intervals(freeze)
+        finally:
+            self._unwire()
+            if freeze:
+                gc.unfreeze()
+
+    def _run_intervals(self, freeze) -> RunResult:
         cfg = self.config
         records = []
         for interval in range(cfg.num_intervals):
+            if freeze:
+                gc.freeze()
             self.kernel.current_interval = interval
             trace_start = len(self.kernel.trace.events)
             react_now = self.immediate_react and self.reports
@@ -353,9 +375,7 @@ class Simulation:
                                                            self.agents, initiator,
                                                            jitter=jitter)
             self._interval_event_slices[interval] = (trace_start, len(self.kernel.trace.events))
-            blacklist_now = set(self.central_blacklist.excluded)
-            for ag in self.agents.values():
-                blacklist_now |= ag.blacklist
+            blacklist_now = self._blacklist()
             committed = {aid: v for aid, v in cluster.assignment.items()
                          if aid not in blacklist_now}
             aggregate = neg.aggregate_of(committed, len(self.target))
@@ -369,11 +389,8 @@ class Simulation:
                 self._run_detection(interval)
         margins = compute_margins([r for r in records if r.phase == "Normal"])
         evaluation = evaluate_run(records, margins)
-        blacklist = set(self.central_blacklist.excluded)
-        for agent in self.agents.values():
-            blacklist |= agent.blacklist
         return RunResult(config=cfg, records=records, trace=self.kernel.trace,
-                         reports=self.reports, actions=self.actions, blacklist=blacklist,
+                         reports=self.reports, actions=self.actions, blacklist=self._blacklist(),
                          gossip_completion_tick=self.gossip_completion_tick,
                          control_tick=self.control_tick, margins=margins,
                          evaluation=evaluation, agents=self.agents)

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from ocsim.cli import execute_run
-from ocsim.model import generate_default_scenario
+from ocsim.kernel import export_trace_jsonl
+from ocsim.model import AttackConfig, generate_default_scenario
 from ocsim.runner import run_scenario
 
 # controller_arch -> artifact written by cli.execute_run -> SHA-256
@@ -47,6 +48,20 @@ REPORT_DIGESTS = {
     (4, False): NO_REPORTS,
 }
 
+# attack mode -> (report list, trace.jsonl) SHA-256 of a level-4 Decentralized
+# observer run without a controller; pins the wire view `attack.tamper` writes
+# for the two modes the default scenario does not use
+ATTACKS = {
+    "Offset": AttackConfig(mode="Offset", offset_kw=1.5),
+    "Replace": AttackConfig(mode="Replace", replacement=[9.0, 9.0, 9.0, 9.0]),
+}
+ATTACK_DIGESTS = {
+    "Offset": ("08d21e265d4c4e0da3d07acecce605621b4d54cbd460ba663b7be6a62639a587",
+               "795b9877abe11fcb84a27b9578c1cc0fb9c585c6da0d9deb8f2a3b1b965d87b5"),
+    "Replace": ("dfe5b2c4b35d9b62ae3a23ba81530de3f938b19066a68293bbb16bc6ad375304",
+                "3aeeb330dc1a52db5356f8abb0d0fac6b167b03237b85e4e9ea3d263abd42450"),
+}
+
 
 def _file_digest(path):
     with open(path, "rb") as f:
@@ -59,16 +74,27 @@ def artifact_digests(controller, out_dir):
     return {name: _file_digest(out_dir / name) for name in ARTIFACT_DIGESTS[controller]}
 
 
-def report_digest(level, tampered):
+def _observer_run(level, attack=None):
     cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch="Decentralized",
                               info_level=level, controller_arch="None")
+    if attack is not None:
+        cfg = dataclasses.replace(cfg, attack=attack)
+    return run_scenario(cfg)
+
+
+def _reports_digest(reports):
+    rows = [[r.suspect, r.first_flagged_interval, r.score, r.detector,
+             r.scope.describe() if r.scope else None]
+            for r in reports]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def report_digest(level, tampered):
+    attack = None
     if not tampered:
-        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(
-            cfg.attack, active_from_interval=cfg.num_intervals))
-    reports = [[r.suspect, r.first_flagged_interval, r.score, r.detector,
-                r.scope.describe() if r.scope else None]
-               for r in run_scenario(cfg).reports]
-    return hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        cfg = generate_default_scenario(seed=1)
+        attack = dataclasses.replace(cfg.attack, active_from_interval=cfg.num_intervals)
+    return _reports_digest(_observer_run(level, attack).reports)
 
 
 @pytest.mark.parametrize("controller", sorted(ARTIFACT_DIGESTS))
@@ -79,3 +105,11 @@ def test_run_artifacts_match_their_golden_digests(controller, tmp_path):
 @pytest.mark.parametrize("level,tampered", sorted(REPORT_DIGESTS))
 def test_observer_reports_match_their_golden_digests(level, tampered):
     assert report_digest(level, tampered) == REPORT_DIGESTS[(level, tampered)]
+
+
+@pytest.mark.parametrize("mode", sorted(ATTACK_DIGESTS))
+def test_attack_modes_match_their_golden_digests(mode, tmp_path):
+    result = _observer_run(4, ATTACKS[mode])
+    export_trace_jsonl(result.trace, tmp_path / "trace.jsonl")
+    digests = (_reports_digest(result.reports), _file_digest(tmp_path / "trace.jsonl"))
+    assert digests == ATTACK_DIGESTS[mode]

@@ -8,6 +8,7 @@ from ocsim import model
 from ocsim.model import (SETPOINT_GRID, AttackConfig, ScenarioConfig, UnitModel,
                          generate_default_scenario, quantize, scenario_from_dict,
                          scenario_to_dict, validate_scenario)
+from ocsim.runner import Simulation
 
 
 # --- setpoint grid ---
@@ -138,6 +139,29 @@ def test_validation_flags_noop_scale_attack(scenario):
 def test_validation_flags_replace_without_replacement(scenario):
     bad = dataclasses.replace(scenario, attack=AttackConfig(mode="Replace"))
     assert any("replacement" in v for v in validate_scenario(bad))
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_validation_flags_replacement_of_the_wrong_length(scenario, length):
+    bad = dataclasses.replace(scenario, attack=AttackConfig(
+        mode="Replace", replacement=[9.0] * length))
+    assert validate_scenario(bad) == [
+        f"attack.replacement: length {length} != intervals_per_negotiation 4"]
+    with pytest.raises(ValueError, match="attack.replacement"):
+        Simulation(bad)
+
+
+def test_validation_flags_a_second_compromised_agent(scenario):
+    agents = [dataclasses.replace(a, is_compromised=a.is_compromised or i == 0)
+              for i, a in enumerate(scenario.agents)]
+    first = next(a.agent_id for a in agents if a.is_compromised)
+    second = [i for i, a in enumerate(agents) if a.is_compromised][1]
+    bad = dataclasses.replace(scenario, agents=agents)
+    assert validate_scenario(bad) == [
+        f"agents[{second}].is_compromised: only one compromised agent is "
+        f"supported, {first!r} already is"]
+    with pytest.raises(ValueError, match="is_compromised"):
+        Simulation(bad)
 
 
 def test_validation_never_raises_on_garbage():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsim import negotiation as neg
-from ocsim.kernel import Kernel
+from ocsim.kernel import Kernel, Message
 from ocsim.model import UnitModel, quantize
 from ocsim.topology import build_small_world
 
@@ -230,3 +230,30 @@ def test_adopt_unit_cross_sums_candidate_sets():
     # each combined schedule is the grid-snapped base plus the extra unit's value
     assert agent.feasible[0] == tuple(
         quantize(v) - 1.0 for v in agent.units[0].feasible_schedules[0])
+
+
+def test_receivers_with_different_blacklists_never_share_a_decode(monkeypatch):
+    kernel, agents, ids, _ = _community(seed=2)
+    neg.run_negotiation(0, kernel, agents, ids[0])
+    content = neg.encode_memory(agents[ids[0]].memory)
+    suspect = ids[4]
+    decoded = []
+    decode = neg.decode_memory
+
+    def recording(*args, **kwargs):
+        decoded.append(decode(*args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(neg, "decode_memory", recording)
+    wary, a, b = (agents[aid] for aid in ids[1:4])
+    wary.exclude_local(suspect)
+    for receiver in (wary, a, b):
+        receiver.reset_for_interval()
+        receiver.handle(kernel, Message(0, ids[0], receiver.agent_id, 0, 1,
+                                        "WorkingMemoryUpdate", content))
+    assert len(decoded) == 2
+    assert suspect not in wary.memory.entries
+    assert suspect not in wary.memory.best_candidate.assignment
+    assert suspect in a.memory.entries and suspect in b.memory.entries
+    assert a.memory.best_candidate is b.memory.best_candidate
+    assert wary.memory.best_candidate is not a.memory.best_candidate

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 
 import pytest
 
 from ocsim import negotiation as neg
 from ocsim import observer as obs
+from ocsim.kernel import NonConvergenceError
 from ocsim.metrics import classify_phase
 from ocsim.model import generate_default_scenario
 from ocsim.runner import CONVERGENCE_RESOLUTION, run_scenario
@@ -120,3 +122,58 @@ def test_a_short_training_window_is_refused(observer_arch):
                               info_level=4, incident_interval=3)
     with pytest.raises(obs.InsufficientTrainingError):
         run_scenario(cfg)
+
+
+def test_finished_intervals_are_frozen_and_thawed_after_the_run(monkeypatch):
+    frozen = []
+    run = neg.run_negotiation
+
+    def recording(*args, **kwargs):
+        frozen.append(gc.get_freeze_count())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(neg, "run_negotiation", recording)
+    before = gc.get_freeze_count()
+    run_scenario(generate_default_scenario(seed=1))
+    assert gc.get_freeze_count() == before == 0
+    assert len(frozen) == 60 and min(frozen) > 0
+
+
+def test_a_failing_run_thaws_what_it_froze():
+    before = gc.get_freeze_count()
+    with pytest.raises(NonConvergenceError):
+        run_scenario(generate_default_scenario(seed=1), tick_cap=5)
+    assert gc.get_freeze_count() == before == 0
+
+
+def test_a_run_leaves_objects_frozen_by_the_caller_alone():
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        run_scenario(generate_default_scenario(seed=1))
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("controller", ["Centralized", "Decentralized", "MultiLeveled"])
+def test_a_dropped_result_is_freed_without_the_cyclic_collector(controller):
+    gc.collect()
+    result = run_scenario(dataclasses.replace(generate_default_scenario(seed=1),
+                                              controller_arch=controller))
+    del result
+    assert gc.collect() == 0
+
+
+def test_each_broadcast_is_decoded_at_most_once(monkeypatch):
+    """All receivers of a broadcast share one decode, the compromised agent's
+    falsified broadcasts included."""
+    calls = {"decode_memory": 0, "encode_memory": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(neg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(neg, name, counting)
+    run_scenario(generate_default_scenario(seed=1))
+    # one encode_memory per broadcast
+    assert 0 < calls["decode_memory"] <= calls["encode_memory"]
