@@ -14,7 +14,9 @@ import sys
 
 from . import metrics as met
 from . import model
+from .controller import action_record
 from .kernel import export_trace_jsonl
+from .observer import report_record
 from .plots import emit_plots
 from .runner import run_scenario
 
@@ -51,13 +53,8 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=None, run_id=None) -
     export_trace_jsonl(result.trace, os.path.join(out_dir, "trace.jsonl"))
     met.export_csv(result.records, result.evaluation, os.path.join(out_dir, "records.csv"))
     extra = {
-        "reports": [{"suspect": r.suspect, "first_flagged_interval": r.first_flagged_interval,
-                     "score": r.score, "detector": r.detector,
-                     "scope": r.scope.describe() if r.scope else None}
-                    for r in result.reports],
-        "actions": [{"kind": a.kind, "issuer": a.issuer, "issued_tick": a.issued_tick,
-                     "target": a.target, "unit_id": a.unit_id, "new_owner": a.new_owner}
-                    for a in result.actions],
+        "reports": [report_record(r) for r in result.reports],
+        "actions": [action_record(a) for a in result.actions],
         "blacklist": sorted(result.blacklist),
         "gossip_completion_tick": result.gossip_completion_tick,
         "control_tick": result.control_tick,
@@ -195,7 +192,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_init(args) -> int:
-    config = model.generate_default_scenario(args.seed, args.agents)
+    try:
+        config = model.generate_default_scenario(args.seed, args.agents)
+    except ValueError as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return 2
     if args.controller:
         config.controller_arch = args.controller
     model.save_scenario(config, args.scenario)

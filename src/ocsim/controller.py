@@ -96,12 +96,17 @@ def multi_leveled_react(report, agent, tick=0, central_id="central") -> list:
     return actions
 
 
+def action_record(a: ControlAction) -> dict:
+    """The serialized form of an action, as evaluation.json holds it;
+    actions.jsonl adds the pushed topology's generation."""
+    return {"kind": a.kind, "issuer": a.issuer, "issued_tick": a.issued_tick,
+            "target": a.target, "unit_id": a.unit_id, "new_owner": a.new_owner}
+
+
 def export_actions_jsonl(actions, path) -> None:
     with open(path, "w") as f:
         for a in actions:
-            f.write(json.dumps({"kind": a.kind, "issuer": a.issuer,
-                                "issued_tick": a.issued_tick, "target": a.target,
-                                "unit_id": a.unit_id, "new_owner": a.new_owner,
-                                "topology_generation": a.topology.generation if a.topology else None},
-                               sort_keys=True))
+            record = action_record(a)
+            record["topology_generation"] = a.topology.generation if a.topology else None
+            f.write(json.dumps(record, sort_keys=True))
             f.write("\n")

@@ -12,6 +12,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
+# ticks a run may reach before it counts as non-converging
+DEFAULT_TICK_CAP = 500_000
+
 MSG_KINDS = ("WorkingMemoryUpdate", "BlacklistNotice", "TopologyPush",
              "TaskHandover", "EscalationReport")
 
@@ -58,18 +61,26 @@ class EventTrace:
 
 
 class Kernel:
-    def __init__(self, seed, delay_min: int = 1, delay_max: int = 3, tick_cap: int = 200_000):
+    def __init__(self, seed, delay_min: int = 1, delay_max: int = 3,
+                 tick_cap: int = DEFAULT_TICK_CAP):
+        if delay_max < delay_min:
+            raise ValueError(f"empty delay range [{delay_min}, {delay_max}]")
         self.clock = 0
         self.current_interval = 0
         self.delay_min = delay_min
         self.delay_max = delay_max
+        # randint(delay_min, delay_max) is delay_min plus the first draw of
+        # getrandbits(k) below the range width; the loop in send() repeats
+        # that rejection sampling, so it yields exactly randint's values
+        self._delay_width = delay_max - delay_min + 1
+        self._delay_bits = self._delay_width.bit_length()
         self.tick_cap = tick_cap
         self.excluded = set()  # bus-level exclusion (blacklisted agents)
         self.handlers = {}  # agent id -> callable(kernel, Message)
         self.trace = EventTrace()
         self._queue = []
         self._next_msg_id = 0
-        self._delay_rng = random.Random(f"ocsim-delay:{seed}")
+        self._getrandbits = random.Random(f"ocsim-delay:{seed}").getrandbits
         self.outbound_filter = None  # optional callable(Message) -> Message (wire view)
         self.tick_hook = None  # optional callable(kernel, tick), fires once per tick
 
@@ -88,12 +99,15 @@ class Kernel:
         stays aligned across runs that differ only in control wiring."""
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        drawn = self._delay_rng.randint(self.delay_min, self.delay_max)
+        drawn = self._getrandbits(self._delay_bits)
+        while drawn >= self._delay_width:
+            drawn = self._getrandbits(self._delay_bits)
         if delay is None:
-            delay = drawn
+            delay = self.delay_min + drawn
         # content is immutable once handed to send(): the attack filter
-        # copies instead of mutating, and negotiation decodes each broadcast's
-        # content once for all its receivers, so no defensive copy here
+        # copies instead of mutating, negotiation decodes each broadcast's
+        # content once for all its receivers, and encoded entries and
+        # candidates are shared between broadcasts too, so no defensive copy
         msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,
                       sent_tick=self.clock, delivered_tick=self.clock + delay,
                       kind=kind, content=content,

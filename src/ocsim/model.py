@@ -121,6 +121,8 @@ def validate_scenario(config: ScenarioConfig) -> list:
         v.append(f"attack.mode: unknown value {at.mode!r}")
     if at.mode == "Scale" and 0.99 <= at.scale_factor <= 1.01:
         v.append("attack.scale_factor: Scale within [0.99, 1.01] is a no-op attack")
+    if at.mode == "Offset" and at.offset_kw == 0:
+        v.append("attack.offset_kw: Offset 0 is a no-op attack")
     if at.mode == "Replace" and at.replacement is None:
         v.append("attack.replacement: Replace mode requires a replacement schedule")
     elif at.mode == "Replace" and len(at.replacement) != config.intervals_per_negotiation:
@@ -196,9 +198,10 @@ def generate_default_scenario(seed: int, n_agents: int = 8) -> ScenarioConfig:
     draw among the non-storage units (scaling a storage unit's near-symmetric
     values gives no usable detection signature, so storage is not a default
     attack target; set AgentSpec.is_compromised by hand to override).
+    At least five agents: the small-world degree k=4 needs k < n.
     """
-    if n_agents < 4:
-        raise ValueError(f"n_agents must be >= 4, got {n_agents}")
+    if n_agents < 5:
+        raise ValueError(f"n_agents must be >= 5, got {n_agents}")
     rng = random.Random(f"ocsim-scenario:{seed}")
     slots = 4
     agents = []

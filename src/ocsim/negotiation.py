@@ -24,9 +24,12 @@ def choose_best_schedule(feasible_schedules, others_aggregate, target) -> int:
     other agents' aggregate; ties broken by lowest index."""
     if feasible_schedules and len(feasible_schedules[0]) != len(others_aggregate):
         raise ValueError("others_aggregate length does not match schedule length")
+    if feasible_schedules and len(others_aggregate) != len(target):
+        raise ValueError(f"length mismatch: {len(others_aggregate)} vs {len(target)}")
     best_idx, best_obj = 0, None
     for i, sched in enumerate(feasible_schedules):
-        obj = objective([o + s for o, s in zip(others_aggregate, sched)], target)
+        # objective() inlined, in the same order of float operations
+        obj = sum(abs(o + s - t) for o, s, t in zip(others_aggregate, sched, target))
         if best_obj is None or obj < best_obj:
             best_idx, best_obj = i, obj
     return best_idx
@@ -74,21 +77,24 @@ def candidate_better(new: Candidate | None, old: Candidate | None) -> bool:
 
 
 def merge_memories(local: WorkingMemory, received: WorkingMemory):
-    """Reconcile gossip state: per entry keep the higher revision (tie keeps
-    local); candidate replaced per candidate_better. Returns (merged, changed).
-    `received` may be shared by several receivers: it is only read, and its
-    entries and candidate are adopted as is (neither is ever mutated)."""
-    merged = WorkingMemory(entries=dict(local.entries), best_candidate=local.best_candidate)
+    """Reconcile gossip state into `local`, in place: per entry keep the
+    higher revision (tie keeps local); candidate replaced per
+    candidate_better. Returns (local, changed). `received` may be shared by
+    several receivers: it is only read, and its entry tuples and candidate
+    are adopted as they are (neither is ever mutated)."""
+    entries = local.entries
+    get = entries.get
     changed = False
-    for aid, (values, rev) in received.entries.items():
-        cur = merged.entries.get(aid)
-        if cur is None or rev > cur[1]:
-            merged.entries[aid] = (tuple(values), rev)
+    for aid, entry in received.entries.items():
+        cur = get(aid)
+        # most received entries are the very tuples the receiver holds
+        if cur is not entry and (cur is None or entry[1] > cur[1]):
+            entries[aid] = entry
             changed = True
-    if candidate_better(received.best_candidate, merged.best_candidate):
-        merged.best_candidate = received.best_candidate
+    if candidate_better(received.best_candidate, local.best_candidate):
+        local.best_candidate = received.best_candidate
         changed = True
-    return merged, changed
+    return local, changed
 
 
 def aggregate_of(assignment: dict, slots: int):
@@ -120,10 +126,7 @@ class NegotiationAgent:
         self.memory = WorkingMemory()
         self._jitter = {}
         self.dirty = False  # merged new information, response still pending
-        # decoded broadcasts, shared with the interval's other receivers (set
-        # by run_negotiation): (id(content), blacklist, target) -> (content,
-        # WorkingMemory); holding the content keeps its id from being reused
-        self.decoded = {}
+        self.forms = {}  # the interval's wire forms, shared by all agents (see encode_memory)
 
     # --- task reassignment ---
     def adopt_unit(self, unit):
@@ -167,12 +170,11 @@ class NegotiationAgent:
         # one broadcast reaches every neighbor with the same content object;
         # receivers that drop the same agents share one read-only decode
         key = (id(msg.content), frozenset(self.blacklist), tuple(self.target))
-        hit = self.decoded.get(key)
+        hit = self.forms.get(key)
         if hit is None:
-            hit = self.decoded[key] = (msg.content, decode_memory(
-                msg.content, drop=self.blacklist, target=self.target))
-        merged, changed = merge_memories(self.memory, hit[1])
-        self.memory = merged
+            hit = self.forms[key] = (msg.content, decode_memory(
+                msg.content, drop=self.blacklist, target=self.target, forms=self.forms))
+        _, changed = merge_memories(self.memory, hit[1])
         if changed:
             self.dirty = True
 
@@ -244,7 +246,7 @@ class NegotiationAgent:
         adopted as the own commitment."""
         others = self._others_aggregate()
         idx = choose_best_schedule(self.feasible, others, self.target)
-        assignment = {aid: tuple(v) for aid, (v, _) in self.memory.entries.items()}
+        assignment = {aid: entry[0] for aid, entry in self.memory.entries.items()}
         assignment[self.agent_id] = self.feasible[idx]
         agg = aggregate_of(assignment, len(self.target))
         cand = Candidate(assignment, objective(agg, self.target),
@@ -265,7 +267,7 @@ class NegotiationAgent:
         return self._feasible_cache
 
     def _broadcast(self, kernel):
-        content = encode_memory(self.memory)
+        content = encode_memory(self.memory, self.forms)
         for nb in sorted(self.neighbors):
             kernel.send(self.agent_id, nb, "WorkingMemoryUpdate", content)
 
@@ -275,37 +277,93 @@ class NegotiationAgent:
 
 
 # --- wire encoding of working memories ---
+#
+# Within one interval most entries and the best candidate of a broadcast are
+# the same objects as in earlier broadcasts, so each gets one wire form,
+# shared by every broadcast that carries it. `forms` is that memo; it belongs
+# to the interval (run_negotiation clears it) and maps
+#   id(entry tuple) -> (entry, wire dict) and id(wire dict) -> (wire, entry),
+#   id(Candidate) -> (candidate, wire dict),
+#   (id(wire candidate dict), target) -> (wire, decoded Candidate),
+#   (id(content), blacklist, target) -> (content, decoded WorkingMemory).
+# Keys are identities, never values (0.0 == -0.0 and 1 == 1.0 hash alike but
+# serialize differently), and each value holds its key's object, so no id is
+# reused while the memo lives. Sent wire forms are never mutated.
 
-def encode_memory(memory: WorkingMemory) -> dict:
-    content = {"entries": {aid: {"values": list(v), "revision": r}
-                           for aid, (v, r) in sorted(memory.entries.items())}}
-    if memory.best_candidate is not None:
-        content["best"] = {
-            "assignment": {aid: list(v) for aid, v in sorted(memory.best_candidate.assignment.items())},
-            "objective": memory.best_candidate.objective,
-            "stamp": list(memory.best_candidate.stamp),
-        }
-    else:
-        content["best"] = None
-    return content
+
+def _pair(forms, entry, wire):
+    forms[id(entry)] = (entry, wire)
+    forms[id(wire)] = (wire, entry)
 
 
-def decode_memory(content: dict, drop=(), target=None) -> WorkingMemory:
-    entries = {aid: (tuple(e["values"]), e["revision"])
-               for aid, e in content.get("entries", {}).items() if aid not in drop}
-    best = None
-    raw = content.get("best")
-    if raw is not None:
-        assignment = {aid: tuple(v) for aid, v in raw["assignment"].items() if aid not in drop}
-        if assignment:
-            obj = raw["objective"]
-            if target is not None:
-                # never trust the claimed objective: recompute from the
-                # assignment, so a candidate whose values were falsified in
-                # transit cannot ride on a stale claim
-                obj = objective(aggregate_of(assignment, len(target)), target)
-            best = Candidate(assignment, obj, stamp=tuple(raw.get("stamp", ())))
-    return WorkingMemory(entries=entries, best_candidate=best)
+def encode_memory(memory: WorkingMemory, forms=None) -> dict:
+    if forms is None:
+        forms = {}
+    entries = {}
+    for aid, entry in sorted(memory.entries.items()):
+        hit = forms.get(id(entry))
+        if hit is None:
+            wire = {"values": list(entry[0]), "revision": entry[1]}
+            _pair(forms, entry, wire)
+        else:
+            wire = hit[1]
+        entries[aid] = wire
+    best = memory.best_candidate
+    if best is not None:
+        hit = forms.get(id(best))
+        if hit is None:
+            hit = forms[id(best)] = (best, {
+                "assignment": {aid: list(v) for aid, v in sorted(best.assignment.items())},
+                "objective": best.objective,
+                "stamp": list(best.stamp),
+            })
+        best = hit[1]
+    return {"entries": entries, "best": best}
+
+
+def decode_memory(content: dict, drop=(), target=None, forms=None) -> WorkingMemory:
+    if forms is None:
+        forms = {}
+    entries = {}
+    for aid, wire in content.get("entries", {}).items():
+        if aid in drop:
+            continue
+        hit = forms.get(id(wire))
+        if hit is None:
+            entry = (tuple(wire["values"]), wire["revision"])
+            _pair(forms, entry, wire)
+        else:
+            entry = hit[1]
+        entries[aid] = entry
+    return WorkingMemory(entries=entries,
+                         best_candidate=_decode_candidate(content.get("best"), drop, target, forms))
+
+
+def _decode_candidate(raw, drop, target, forms):
+    if raw is None:
+        return None
+    # a candidate losing dropped agents is decoded anew for each blacklist
+    shared = not any(aid in raw["assignment"] for aid in drop)
+    key = (id(raw), None if target is None else tuple(target))
+    if shared and key in forms:
+        return forms[key][1]
+    assignment = {aid: tuple(v) for aid, v in raw["assignment"].items() if aid not in drop}
+    if not assignment:
+        return None
+    claimed = obj = raw["objective"]
+    if target is not None:
+        # never trust the claimed objective: recompute from the assignment,
+        # so a candidate whose values were falsified in transit cannot ride
+        # on a stale claim
+        obj = objective(aggregate_of(assignment, len(target)), target)
+    best = Candidate(assignment, obj, stamp=tuple(raw.get("stamp", ())))
+    if shared:
+        forms[key] = (raw, best)
+        if repr(obj) == repr(claimed):
+            # re-encodes to the incoming wire form; a wrong claim (or 0.0
+            # for -0.0) gets a new one carrying the recomputed objective
+            forms[id(best)] = (best, raw)
+    return best
 
 
 def gossip_to_quiescence(kernel, agents):
@@ -338,15 +396,19 @@ def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
     kernel.current_interval = interval
     start_count = kernel.trace.interval_counts.get(interval, 0)
     active = {aid: ag for aid, ag in agents.items() if aid not in kernel.excluded}
-    decoded = {}
+    # every agent gets the new memo, so none keeps an older one alive
+    forms = {}
+    for ag in agents.values():
+        ag.forms = forms
     for ag in active.values():
         ag.reset_for_interval(jitter if jitter is not None else {})
-        ag.decoded = decoded
     start_tick = kernel.clock
-    if initiator_id in active:
-        active[initiator_id].initiate(kernel)
-    gossip_to_quiescence(kernel, active)
-    decoded.clear()  # control traffic before the next episode decodes anew
+    try:
+        if initiator_id in active:
+            active[initiator_id].initiate(kernel)
+        gossip_to_quiescence(kernel, active)
+    finally:
+        forms.clear()  # control traffic before the next episode encodes anew
     duration = kernel.clock - start_tick
     count = kernel.trace.interval_counts.get(interval, 0) - start_count
     assignment = {}

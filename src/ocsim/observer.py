@@ -406,12 +406,15 @@ def run_multi_leveled(training_events, detection_events, agent_ids, unit_types,
                            seed).detect(detection_events, constraints_by_sender)
 
 
+def report_record(r: AnomalyReport) -> dict:
+    """The serialized form of a report, in reports.jsonl and evaluation.json."""
+    return {"suspect": r.suspect, "first_flagged_interval": r.first_flagged_interval,
+            "score": r.score, "detector": r.detector,
+            "scope": r.scope.describe() if r.scope else None}
+
+
 def export_reports_jsonl(reports, path) -> None:
     with open(path, "w") as f:
         for r in reports:
-            f.write(json.dumps({"suspect": r.suspect,
-                                "first_flagged_interval": r.first_flagged_interval,
-                                "score": r.score, "detector": r.detector,
-                                "scope": r.scope.describe() if r.scope else None},
-                               sort_keys=True))
+            f.write(json.dumps(report_record(r), sort_keys=True))
             f.write("\n")

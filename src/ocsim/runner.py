@@ -16,7 +16,7 @@ from . import attack as attack_mod
 from . import controller as ctrl
 from . import negotiation as neg
 from . import observer as obs
-from .kernel import Kernel
+from .kernel import DEFAULT_TICK_CAP, Kernel
 from .metrics import IntervalRecord, classify_phase, compute_margins, evaluate_run
 from .model import ScenarioConfig, UnitModel, validate_scenario
 from .topology import Topology, build_small_world
@@ -48,7 +48,7 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig, target=None, tick_cap: int = 500_000,
+    def __init__(self, config: ScenarioConfig, target=None, tick_cap: int = DEFAULT_TICK_CAP,
                  immediate_react: bool = False):
         violations = validate_scenario(config)
         if violations:

@@ -19,6 +19,13 @@ def test_init_writes_a_valid_scenario(scenario_file):
     assert config.seed == 1 and len(config.agents) == 8
 
 
+def test_init_refuses_a_community_too_small_for_its_topology(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    assert main(["init", "--scenario", str(path), "--agents", "4"]) == 2
+    assert "n_agents" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_run_writes_all_artifacts(tmp_path, scenario_file, capsys):
     out = tmp_path / "run"
     assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ocsim import controller as ctrl
@@ -116,3 +118,6 @@ def test_actions_export_jsonl(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(actions)
     assert '"kind": "ExcludeLocal"' in lines[0]
+    # one serializer: the evaluation.json record plus the topology generation
+    assert [json.loads(line) for line in lines] == [
+        {**ctrl.action_record(a), "topology_generation": None} for a in actions]

@@ -34,6 +34,15 @@ ARTIFACT_DIGESTS = {
     },
 }
 
+# artifact -> SHA-256 of cli.execute_run for 16 agents under Centralized
+# control: working memories hold more than 8 entries, and the attacker is
+# blacklisted and cut off
+LARGE_RUN_DIGESTS = {
+    "records.csv": "b10d0f552717a51088391570487d850bf7e2cae02b4b6b74e7ac301734806a9d",
+    "evaluation.json": "bae4accf7e7a55b630eb3b388ec9ed7410d976ffbf889f952c4a154aa914aa87",
+    "trace.jsonl": "3b5c6864d53707d06ec337d3af03567320d2c44e5ad7da8e937d761ecfe4acb3",
+}
+
 # SHA-256 of an empty report list: nothing was flagged
 NO_REPORTS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
 
@@ -68,8 +77,9 @@ def _file_digest(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def artifact_digests(controller, out_dir):
-    cfg = dataclasses.replace(generate_default_scenario(seed=1), controller_arch=controller)
+def artifact_digests(controller, out_dir, n_agents=8):
+    cfg = dataclasses.replace(generate_default_scenario(seed=1, n_agents=n_agents),
+                              controller_arch=controller)
     execute_run(cfg, str(out_dir))
     return {name: _file_digest(out_dir / name) for name in ARTIFACT_DIGESTS[controller]}
 
@@ -100,6 +110,10 @@ def report_digest(level, tampered):
 @pytest.mark.parametrize("controller", sorted(ARTIFACT_DIGESTS))
 def test_run_artifacts_match_their_golden_digests(controller, tmp_path):
     assert artifact_digests(controller, tmp_path) == ARTIFACT_DIGESTS[controller]
+
+
+def test_a_16_agent_run_matches_its_golden_digests(tmp_path):
+    assert artifact_digests("Centralized", tmp_path, n_agents=16) == LARGE_RUN_DIGESTS
 
 
 @pytest.mark.parametrize("level,tampered", sorted(REPORT_DIGESTS))

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
-from ocsim.kernel import Kernel, NonConvergenceError, export_trace_jsonl
+from ocsim.kernel import DEFAULT_TICK_CAP, Kernel, NonConvergenceError, export_trace_jsonl
+from ocsim.model import generate_default_scenario
+from ocsim.runner import Simulation
 
 
 def _make_kernel(seed=1, **kwargs):
@@ -39,6 +42,24 @@ def test_delays_stay_within_the_configured_band():
     msgs = [k.send("a", "b", "WorkingMemoryUpdate", {}) for _ in range(200)]
     delays = {m.delivered_tick - m.sent_tick for m in msgs}
     assert delays == {1, 2, 3, 4, 5}  # band fully used, never exceeded
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 3), (1, 5), (2, 2)])
+def test_delays_are_the_draws_of_randint(lo, hi):
+    k = _make_kernel(seed=7, delay_min=lo, delay_max=hi)
+    drawn = [k.send("a", "b", "WorkingMemoryUpdate", {}).delivered_tick for _ in range(10_000)]
+    rng = random.Random("ocsim-delay:7")
+    assert drawn == [rng.randint(lo, hi) for _ in range(10_000)]
+
+
+def test_an_empty_delay_range_is_refused():
+    with pytest.raises(ValueError, match="empty delay range"):
+        _make_kernel(delay_min=3, delay_max=2)
+
+
+def test_kernel_and_simulation_share_one_tick_cap_default():
+    assert _make_kernel().tick_cap == DEFAULT_TICK_CAP
+    assert Simulation(generate_default_scenario(seed=1)).kernel.tick_cap == DEFAULT_TICK_CAP
 
 
 def test_delay_override_keeps_the_drawn_stream_aligned():

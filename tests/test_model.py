@@ -89,6 +89,13 @@ def test_default_scenario_rejects_tiny_communities():
         generate_default_scenario(seed=1, n_agents=3)
 
 
+def test_default_scenario_refuses_a_community_its_topology_cannot_hold():
+    # k=4 neighbours need at least five agents
+    with pytest.raises(ValueError, match="n_agents must be >= 5"):
+        generate_default_scenario(seed=1, n_agents=4)
+    assert validate_scenario(generate_default_scenario(seed=1, n_agents=5)) == []
+
+
 # --- validation ---
 
 def test_default_scenario_validates_clean(scenario):
@@ -134,6 +141,15 @@ def test_validation_flags_schedule_shape(scenario):
 def test_validation_flags_noop_scale_attack(scenario):
     bad = dataclasses.replace(scenario, attack=AttackConfig(mode="Scale", scale_factor=1.0))
     assert any("no-op" in v for v in validate_scenario(bad))
+
+
+def test_validation_flags_noop_offset_attack(scenario):
+    bad = dataclasses.replace(scenario, attack=AttackConfig(mode="Offset", offset_kw=0.0))
+    assert validate_scenario(bad) == ["attack.offset_kw: Offset 0 is a no-op attack"]
+    with pytest.raises(ValueError, match="attack.offset_kw"):
+        Simulation(bad)
+    ok = dataclasses.replace(scenario, attack=AttackConfig(mode="Offset", offset_kw=-0.5))
+    assert validate_scenario(ok) == []
 
 
 def test_validation_flags_replace_without_replacement(scenario):

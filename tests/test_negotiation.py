@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -107,6 +108,16 @@ def test_merge_keeps_higher_revision_and_local_on_tie():
     assert merged.entries["c"] == ((4.0,) * SLOTS, 0)  # new entry adopted
 
 
+def test_merge_folds_into_the_local_memory_and_leaves_the_received_one_alone():
+    local = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 0)})
+    entry = ((2.0,) * SLOTS, 1)
+    received = neg.WorkingMemory(entries={"a": entry, "b": ((3.0,) * SLOTS, 0)})
+    merged, changed = neg.merge_memories(local, received)
+    assert changed and merged is local
+    assert local.entries["a"] is entry  # adopted as is, not re-wrapped
+    assert received.entries == {"a": entry, "b": ((3.0,) * SLOTS, 0)}
+
+
 def test_merge_reports_no_change_on_stale_gossip():
     local = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 3)})
     received = neg.WorkingMemory(entries={"a": ((9.0,) * SLOTS, 1)})
@@ -135,6 +146,39 @@ def test_decode_recomputes_objective_from_assignment():
     content["best"]["objective"] = 0.0  # attacker's claim
     back = neg.decode_memory(content, target=[0.0] * SLOTS)
     assert back.best_candidate.objective == pytest.approx(2.0 * SLOTS)
+
+
+def test_decoding_a_seen_wire_form_returns_the_entry_it_came_from():
+    mem = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 2), "b": ((-1.0,) * SLOTS, 0)})
+    forms = {}
+    back = neg.decode_memory(neg.encode_memory(mem, forms), forms=forms)
+    assert all(back.entries[aid] is mem.entries[aid] for aid in mem.entries)
+
+
+def test_a_decoded_candidate_with_a_wrong_claim_is_re_encoded_with_the_recomputed_objective():
+    cand = neg.Candidate({"a": (2.0,) * SLOTS}, 2.0 * SLOTS, stamp=(3, "a"))
+    mem = neg.WorkingMemory(entries={"a": ((2.0,) * SLOTS, 0)}, best_candidate=cand)
+    forms = {}
+    content = neg.encode_memory(mem, forms)
+    lying = {**content, "best": {**content["best"], "objective": 0.0}}
+    back = neg.decode_memory(lying, target=[0.0] * SLOTS, forms=forms)
+    again = neg.encode_memory(back, forms)
+    assert again["best"]["objective"] == 2.0 * SLOTS
+    assert again["best"] is not lying["best"]
+    # an honest claim re-encodes to the incoming wire form
+    honest = neg.decode_memory(content, target=[0.0] * SLOTS, forms=forms)
+    assert neg.encode_memory(honest, forms)["best"] is content["best"]
+
+
+def test_entries_holding_zero_and_negative_zero_keep_their_own_wire_forms():
+    # (0.0,) == (-0.0,) and both hash alike, but they serialize differently
+    mem = neg.WorkingMemory(entries={"a": ((0.0,) * SLOTS, 0), "b": ((-0.0,) * SLOTS, 0)})
+    forms = {}
+    content = neg.encode_memory(mem, forms)
+    again = neg.encode_memory(neg.decode_memory(content, forms=forms), forms)
+    for wire in (content, again):
+        assert json.dumps(wire["entries"]["a"]["values"]) == json.dumps([0.0] * SLOTS)
+        assert json.dumps(wire["entries"]["b"]["values"]) == json.dumps([-0.0] * SLOTS)
 
 
 def test_decode_drops_blacklisted_entries():
@@ -230,6 +274,31 @@ def test_adopt_unit_cross_sums_candidate_sets():
     # each combined schedule is the grid-snapped base plus the extra unit's value
     assert agent.feasible[0] == tuple(
         quantize(v) - 1.0 for v in agent.units[0].feasible_schedules[0])
+
+
+def test_broadcasts_of_one_interval_share_the_wire_form_of_an_unchanged_entry():
+    kernel, agents, ids, _ = _community(seed=4)
+    neg.run_negotiation(0, kernel, agents, ids[0])
+    sent = {}
+    for e in kernel.trace.events:
+        contents = sent.setdefault(e.message.sender, [])
+        if not any(c is e.message.content for c in contents):
+            contents.append(e.message.content)
+    # (earlier, later) wire form of each entry that two successive broadcasts
+    # of one agent carry unchanged
+    unchanged = [(first["entries"][aid], second["entries"][aid])
+                 for contents in sent.values()
+                 for first, second in zip(contents, contents[1:])
+                 for aid in first["entries"]
+                 if first["entries"][aid] == second["entries"].get(aid)]
+    assert unchanged
+    assert all(earlier is later for earlier, later in unchanged)
+
+
+def test_no_wire_form_outlives_its_interval():
+    kernel, agents, ids, _ = _community(seed=4)
+    neg.run_negotiation(0, kernel, agents, ids[0])
+    assert all(not agent.forms for agent in agents.values())
 
 
 def test_receivers_with_different_blacklists_never_share_a_decode(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 from statistics import median
 
@@ -224,3 +225,6 @@ def test_reports_export_jsonl(tmp_path):
     path = tmp_path / "reports.jsonl"
     obs.export_reports_jsonl([report], path)
     assert '"suspect": "a00"' in path.read_text()
+    assert json.loads(path.read_text()) == obs.report_record(report) == {
+        "suspect": "a00", "first_flagged_interval": 21, "score": 8.5,
+        "detector": "robust_z", "scope": scope.describe()}

@@ -165,6 +165,13 @@ def test_a_dropped_result_is_freed_without_the_cyclic_collector(controller):
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("controller", ["Centralized", "Decentralized", "MultiLeveled"])
+def test_no_wire_form_memo_outlives_the_run(controller):
+    result = run_scenario(dataclasses.replace(generate_default_scenario(seed=1),
+                                              controller_arch=controller))
+    assert all(not agent.forms for agent in result.agents.values())
+
+
 def test_each_broadcast_is_decoded_at_most_once(monkeypatch):
     """All receivers of a broadcast share one decode, the compromised agent's
     falsified broadcasts included."""
