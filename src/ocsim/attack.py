@@ -17,15 +17,16 @@ class InvalidAttackConfig(ValueError):
     pass
 
 
-def _transform(values, config: AttackConfig):
+def _transform(values, config: AttackConfig) -> tuple:
+    # a tuple, like every value on the wire: candidate_key compares them
     if config.mode == "Scale":
-        return [v * config.scale_factor for v in values]
+        return tuple(v * config.scale_factor for v in values)
     if config.mode == "Offset":
-        return [v + config.offset_kw for v in values]
+        return tuple(v + config.offset_kw for v in values)
     if config.mode == "Replace":
         if config.replacement is None:
             raise InvalidAttackConfig("Replace mode requires a replacement schedule")
-        return list(config.replacement)
+        return tuple(config.replacement)
     raise InvalidAttackConfig(f"unknown attack mode {config.mode!r}")
 
 

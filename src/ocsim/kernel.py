@@ -6,7 +6,6 @@ perturb them.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import random
@@ -14,9 +13,6 @@ from dataclasses import dataclass, field
 
 # ticks a run may reach before it counts as non-converging
 DEFAULT_TICK_CAP = 500_000
-
-MSG_KINDS = ("WorkingMemoryUpdate", "BlacklistNotice", "TopologyPush",
-             "TaskHandover", "EscalationReport")
 
 
 class NonConvergenceError(RuntimeError):
@@ -106,8 +102,9 @@ class Kernel:
             delay = self.delay_min + drawn
         # content is immutable once handed to send(): the attack filter
         # copies instead of mutating, negotiation decodes each broadcast's
-        # content once for all its receivers, and encoded entries and
-        # candidates are shared between broadcasts too, so no defensive copy
+        # content once for all its receivers, and working-memory entries and
+        # encoded candidates are shared between broadcasts too, so no
+        # defensive copy
         msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,
                       sent_tick=self.clock, delivered_tick=self.clock + delay,
                       kind=kind, content=content,
@@ -153,9 +150,6 @@ class Kernel:
 
 # --- trace export ---
 
-TRACE_CSV_COLUMNS = ("msg_id", "sender", "receiver", "sent_tick",
-                     "delivered_tick", "kind", "interval", "delivered")
-
 
 def _event_record(e: TraceEvent) -> dict:
     m = e.message
@@ -170,12 +164,3 @@ def export_trace_jsonl(trace: EventTrace, path) -> None:
         for e in trace.events:
             f.write(json.dumps(_event_record(e), sort_keys=True))
             f.write("\n")
-
-
-def export_trace_csv(trace: EventTrace, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRACE_CSV_COLUMNS)
-        for e in trace.events:
-            rec = _event_record(e)
-            w.writerow([rec[c] for c in TRACE_CSV_COLUMNS])

@@ -80,9 +80,6 @@ class ScenarioConfig:
     control_interval: int = 36
     delay_model: DelayModel = field(default_factory=DelayModel)
 
-    def agent_ids(self):
-        return [a.agent_id for a in self.agents]
-
 
 def validate_scenario(config: ScenarioConfig) -> list:
     """Check every model invariant; returns a list of violations (empty = ok).

@@ -40,14 +40,14 @@ class Candidate:
     assignment: dict  # agent id -> tuple of kW values
     objective: float
     stamp: tuple = ()  # (creation tick, creator id); earliest wins exact ties
-
-    def covers(self):
-        return set(self.assignment)
+    wire: dict | None = field(default=None, compare=False, repr=False)  # set at first encode
 
 
 @dataclass
 class WorkingMemory:
-    entries: dict = field(default_factory=dict)  # agent id -> (values tuple, revision)
+    # agent id -> {"values": tuple of kW values, "revision": int}; an entry is
+    # never mutated, so it is its own wire form (see encode_memory)
+    entries: dict = field(default_factory=dict)
     best_candidate: Candidate | None = None
 
 
@@ -80,15 +80,15 @@ def merge_memories(local: WorkingMemory, received: WorkingMemory):
     """Reconcile gossip state into `local`, in place: per entry keep the
     higher revision (tie keeps local); candidate replaced per
     candidate_better. Returns (local, changed). `received` may be shared by
-    several receivers: it is only read, and its entry tuples and candidate
-    are adopted as they are (neither is ever mutated)."""
+    several receivers: it is only read, and its entries and candidate are
+    adopted as they are (neither is ever mutated)."""
     entries = local.entries
     get = entries.get
     changed = False
     for aid, entry in received.entries.items():
         cur = get(aid)
-        # most received entries are the very tuples the receiver holds
-        if cur is not entry and (cur is None or entry[1] > cur[1]):
+        # most received entries are the very dicts the receiver holds
+        if cur is not entry and (cur is None or entry["revision"] > cur["revision"]):
             entries[aid] = entry
             changed = True
     if candidate_better(received.best_candidate, local.best_candidate):
@@ -108,7 +108,6 @@ def aggregate_of(assignment: dict, slots: int):
 @dataclass
 class ClusterSchedule:
     assignment: dict  # agent id -> tuple of kW values
-    aggregate: list
 
 
 class NegotiationAgent:
@@ -126,7 +125,7 @@ class NegotiationAgent:
         self.memory = WorkingMemory()
         self._jitter = {}
         self.dirty = False  # merged new information, response still pending
-        self.forms = {}  # the interval's wire forms, shared by all agents (see encode_memory)
+        self.forms = {}  # the interval's decodes, shared by all agents (see decode_memory)
 
     # --- task reassignment ---
     def adopt_unit(self, unit):
@@ -205,6 +204,16 @@ class NegotiationAgent:
                 self.memory.best_candidate = None
         return True
 
+    def restart(self):
+        """Drop the working memory and re-negotiate from the own entry, its
+        revision bumped so peers take the restart seriously."""
+        own = self.memory.entries.get(self.agent_id)
+        self.memory = WorkingMemory()
+        if own is not None:
+            self.memory.entries[self.agent_id] = {"values": own["values"],
+                                                  "revision": own["revision"] + 1}
+        self.dirty = True
+
     def adopt_topology(self, generation, neighbors, excluded):
         """Stale pushes (generation not above the current one) are discarded."""
         if generation <= self.topology_generation:
@@ -218,22 +227,23 @@ class NegotiationAgent:
     # --- internals ---
     def _others_aggregate(self):
         agg = [0.0] * len(self.target)
-        for aid, (values, _) in self.memory.entries.items():
+        for aid, entry in self.memory.entries.items():
             if aid == self.agent_id:
                 continue
-            for t, v in enumerate(values):
+            for t, v in enumerate(entry["values"]):
                 agg[t] += v
         return agg
 
     def _ensure_own_entry(self):
         if self.agent_id not in self.memory.entries:
             idx = choose_best_schedule(self.feasible, self._others_aggregate(), self.target)
-            self.memory.entries[self.agent_id] = (self.feasible[idx], 0)
+            self.memory.entries[self.agent_id] = {"values": self.feasible[idx], "revision": 0}
 
     def _set_own(self, values):
-        cur_values, rev = self.memory.entries[self.agent_id]
-        if tuple(values) != tuple(cur_values):
-            self.memory.entries[self.agent_id] = (tuple(values), rev + 1)
+        cur = self.memory.entries[self.agent_id]
+        if tuple(values) != cur["values"]:
+            self.memory.entries[self.agent_id] = {"values": tuple(values),
+                                                  "revision": cur["revision"] + 1}
             return True
         return False
 
@@ -246,7 +256,7 @@ class NegotiationAgent:
         adopted as the own commitment."""
         others = self._others_aggregate()
         idx = choose_best_schedule(self.feasible, others, self.target)
-        assignment = {aid: entry[0] for aid, entry in self.memory.entries.items()}
+        assignment = {aid: entry["values"] for aid, entry in self.memory.entries.items()}
         assignment[self.agent_id] = self.feasible[idx]
         agg = aggregate_of(assignment, len(self.target))
         cand = Candidate(assignment, objective(agg, self.target),
@@ -267,23 +277,22 @@ class NegotiationAgent:
         return self._feasible_cache
 
     def _broadcast(self, kernel):
-        content = encode_memory(self.memory, self.forms)
+        content = encode_memory(self.memory)
         for nb in sorted(self.neighbors):
             kernel.send(self.agent_id, nb, "WorkingMemoryUpdate", content)
 
     def own_choice(self):
         entry = self.memory.entries.get(self.agent_id)
-        return entry[0] if entry else None
+        return entry["values"] if entry else None
 
 
 # --- wire encoding of working memories ---
 #
-# Within one interval most entries and the best candidate of a broadcast are
-# the same objects as in earlier broadcasts, so each gets one wire form,
-# shared by every broadcast that carries it. `forms` is that memo; it belongs
-# to the interval (run_negotiation clears it) and maps
-#   id(entry tuple) -> (entry, wire dict) and id(wire dict) -> (wire, entry),
-#   id(Candidate) -> (candidate, wire dict),
+# An entry is its own wire form: a {"values": tuple, "revision": int} dict
+# that is never mutated, so every broadcast carrying it shares it (json writes
+# the tuple as a list). A candidate keeps the wire dict of its first encode in
+# `Candidate.wire`. Only decodes are memoized: `forms` belongs to the interval
+# (run_negotiation clears it) and maps
 #   (id(wire candidate dict), target) -> (wire, decoded Candidate),
 #   (id(content), blacklist, target) -> (content, decoded WorkingMemory).
 # Keys are identities, never values (0.0 == -0.0 and 1 == 1.0 hash alike but
@@ -291,52 +300,24 @@ class NegotiationAgent:
 # reused while the memo lives. Sent wire forms are never mutated.
 
 
-def _pair(forms, entry, wire):
-    forms[id(entry)] = (entry, wire)
-    forms[id(wire)] = (wire, entry)
-
-
-def encode_memory(memory: WorkingMemory, forms=None) -> dict:
-    if forms is None:
-        forms = {}
-    entries = {}
-    for aid, entry in sorted(memory.entries.items()):
-        hit = forms.get(id(entry))
-        if hit is None:
-            wire = {"values": list(entry[0]), "revision": entry[1]}
-            _pair(forms, entry, wire)
-        else:
-            wire = hit[1]
-        entries[aid] = wire
+def encode_memory(memory: WorkingMemory) -> dict:
     best = memory.best_candidate
-    if best is not None:
-        hit = forms.get(id(best))
-        if hit is None:
-            hit = forms[id(best)] = (best, {
-                "assignment": {aid: list(v) for aid, v in sorted(best.assignment.items())},
-                "objective": best.objective,
-                "stamp": list(best.stamp),
-            })
-        best = hit[1]
-    return {"entries": entries, "best": best}
+    if best is not None and best.wire is None:
+        best.wire = {"assignment": dict(sorted(best.assignment.items())),
+                     "objective": best.objective, "stamp": best.stamp}
+    return {"entries": dict(sorted(memory.entries.items())),
+            "best": None if best is None else best.wire}
 
 
-def decode_memory(content: dict, drop=(), target=None, forms=None) -> WorkingMemory:
+def decode_memory(content: dict, drop=(), *, target, forms=None) -> WorkingMemory:
+    """Working memory of a received content, minus the `drop`ped agents. The
+    entry dicts are adopted as they are; the candidate's objective is
+    recomputed against `target`."""
     if forms is None:
         forms = {}
-    entries = {}
-    for aid, wire in content.get("entries", {}).items():
-        if aid in drop:
-            continue
-        hit = forms.get(id(wire))
-        if hit is None:
-            entry = (tuple(wire["values"]), wire["revision"])
-            _pair(forms, entry, wire)
-        else:
-            entry = hit[1]
-        entries[aid] = entry
+    entries = {aid: entry for aid, entry in content["entries"].items() if aid not in drop}
     return WorkingMemory(entries=entries,
-                         best_candidate=_decode_candidate(content.get("best"), drop, target, forms))
+                         best_candidate=_decode_candidate(content["best"], drop, target, forms))
 
 
 def _decode_candidate(raw, drop, target, forms):
@@ -344,25 +325,23 @@ def _decode_candidate(raw, drop, target, forms):
         return None
     # a candidate losing dropped agents is decoded anew for each blacklist
     shared = not any(aid in raw["assignment"] for aid in drop)
-    key = (id(raw), None if target is None else tuple(target))
+    key = (id(raw), tuple(target))
     if shared and key in forms:
         return forms[key][1]
-    assignment = {aid: tuple(v) for aid, v in raw["assignment"].items() if aid not in drop}
+    assignment = {aid: v for aid, v in raw["assignment"].items() if aid not in drop}
     if not assignment:
         return None
-    claimed = obj = raw["objective"]
-    if target is not None:
-        # never trust the claimed objective: recompute from the assignment,
-        # so a candidate whose values were falsified in transit cannot ride
-        # on a stale claim
-        obj = objective(aggregate_of(assignment, len(target)), target)
-    best = Candidate(assignment, obj, stamp=tuple(raw.get("stamp", ())))
+    # never trust the claimed objective: recompute from the assignment, so a
+    # candidate whose values were falsified in transit cannot ride on a stale
+    # claim
+    obj = objective(aggregate_of(assignment, len(target)), target)
+    best = Candidate(assignment, obj, stamp=raw["stamp"])
     if shared:
         forms[key] = (raw, best)
-        if repr(obj) == repr(claimed):
+        if repr(obj) == repr(raw["objective"]):
             # re-encodes to the incoming wire form; a wrong claim (or 0.0
             # for -0.0) gets a new one carrying the recomputed objective
-            forms[id(best)] = (best, raw)
+            best.wire = raw
     return best
 
 
@@ -408,7 +387,7 @@ def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
             active[initiator_id].initiate(kernel)
         gossip_to_quiescence(kernel, active)
     finally:
-        forms.clear()  # control traffic before the next episode encodes anew
+        forms.clear()  # control traffic before the next episode decodes anew
     duration = kernel.clock - start_tick
     count = kernel.trace.interval_counts.get(interval, 0) - start_count
     assignment = {}
@@ -416,6 +395,4 @@ def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
         choice = active[aid].own_choice()
         if choice is not None:
             assignment[aid] = choice
-    slots = len(next(iter(active.values())).target) if active else 0
-    agg = aggregate_of(assignment, slots)
-    return ClusterSchedule(assignment, agg), duration, count
+    return ClusterSchedule(assignment), duration, count

@@ -20,7 +20,7 @@ only projected and scored against the frozen models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 LEVEL_FIELDS = {

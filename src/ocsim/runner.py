@@ -3,8 +3,7 @@
 One run executes `num_intervals` negotiation episodes on a single kernel.
 The attack falsifies the compromised agent's wire view from the incident
 interval on; the observer folds each completed interval's events into anomaly
-reports; the controller reacts at the configured control interval (or
-immediately when `immediate_react` is set).
+reports; the controller reacts at the configured control interval.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from . import observer as obs
 from .kernel import DEFAULT_TICK_CAP, Kernel
 from .metrics import IntervalRecord, classify_phase, compute_margins, evaluate_run
 from .model import ScenarioConfig, UnitModel, validate_scenario
-from .topology import Topology, build_small_world
+from .topology import build_small_world
 
 CENTRAL_ID = "central"
 
@@ -48,15 +47,12 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig, target=None, tick_cap: int = DEFAULT_TICK_CAP,
-                 immediate_react: bool = False):
+    def __init__(self, config: ScenarioConfig, tick_cap: int = DEFAULT_TICK_CAP):
         violations = validate_scenario(config)
         if violations:
             raise ValueError("invalid scenario: " + "; ".join(violations))
         self.config = config
-        slots = config.intervals_per_negotiation
-        self.target = list(target) if target is not None else [0.0] * slots
-        self.immediate_react = immediate_react
+        self.target = [0.0] * config.intervals_per_negotiation  # perfect self-consumption
 
         self.agents = {}
         self.unit_types = {}
@@ -135,15 +131,9 @@ class Simulation:
                     agent.exclude_local(suspect)
                     # anything merged so far may have been laundered through
                     # the compromised agent, so the conservative reaction is
-                    # to drop the working memory and re-negotiate from the own
-                    # entry (revision bumped so peers take the restart
-                    # seriously); this churn is the cost of decentralized
-                    # mitigation
-                    own = agent.memory.entries.get(aid)
-                    agent.memory = neg.WorkingMemory()
-                    if own is not None:
-                        agent.memory.entries[aid] = (own[0], own[1] + 1)
-                    agent.dirty = True
+                    # to restart from the own entry; this churn is the cost
+                    # of decentralized mitigation
+                    agent.restart()
                 elif (aid, suspect) not in self._notice_seen:
                     # first time hearing the accusation: gossip it on at once,
                     # but apply the exclusion only after the local controller
@@ -258,8 +248,7 @@ class Simulation:
                    if r.suspect not in self.central_blacklist.excluded]
         if not pending:
             return None
-        priority = {"constraint": 0, "robust_z": 1, "traffic": 2}
-        return min(pending, key=lambda r: (priority.get(r.detector, 3),
+        return min(pending, key=lambda r: (obs.DETECTOR_RANK.get(r.detector, 3),
                                            r.first_flagged_interval, r.suspect))
 
     def _blacklist(self):
@@ -359,8 +348,7 @@ class Simulation:
                 gc.freeze()
             self.kernel.current_interval = interval
             trace_start = len(self.kernel.trace.events)
-            react_now = self.immediate_react and self.reports
-            if (interval >= cfg.control_interval or react_now) and not self.control_done:
+            if interval >= cfg.control_interval and not self.control_done:
                 report = self._select_report()
                 if report is not None and cfg.controller_arch != "None":
                     if cfg.controller_arch == "Centralized":

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -15,14 +15,6 @@ class Topology:
 
     def neighbors(self, node):
         return self.adjacency[node]
-
-    def edges(self):
-        out = []
-        for a in sorted(self.adjacency):
-            for b in sorted(self.adjacency[a]):
-                if a < b:
-                    out.append((a, b))
-        return out
 
 
 def is_connected(t: Topology) -> bool:

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -9,16 +10,17 @@ from ocsim.model import AttackConfig
 
 
 def _update_message(sender="evil"):
+    # the wire form negotiation.encode_memory writes: values are tuples
     content = {
         "entries": {
-            sender: {"values": [1.0, 1.0, 1.0, 1.0], "revision": 2},
-            "a01": {"values": [-2.0, -2.0, -2.0, -2.0], "revision": 1},
+            sender: {"values": (1.0, 1.0, 1.0, 1.0), "revision": 2},
+            "a01": {"values": (-2.0, -2.0, -2.0, -2.0), "revision": 1},
         },
         "best": {
-            "assignment": {sender: [1.0, 1.0, 1.0, 1.0],
-                           "a01": [-2.0, -2.0, -2.0, -2.0]},
+            "assignment": {sender: (1.0, 1.0, 1.0, 1.0),
+                           "a01": (-2.0, -2.0, -2.0, -2.0)},
             "objective": 4.0,
-            "stamp": [3, sender],
+            "stamp": (3, sender),
         },
     }
     return Message(msg_id=7, sender=sender, receiver="a01", sent_tick=10,
@@ -30,23 +32,34 @@ def test_scale_transforms_only_the_senders_own_values():
     msg = _update_message()
     out = tamper(msg, AttackConfig(mode="Scale", scale_factor=3.0,
                                    active_from_interval=20), current_interval=25)
-    assert out.content["entries"]["evil"]["values"] == [3.0] * 4
-    assert out.content["best"]["assignment"]["evil"] == [3.0] * 4
+    assert out.content["entries"]["evil"]["values"] == (3.0,) * 4
+    assert out.content["best"]["assignment"]["evil"] == (3.0,) * 4
     # everyone else's view of the world passes through untouched
-    assert out.content["entries"]["a01"]["values"] == [-2.0] * 4
-    assert out.content["best"]["assignment"]["a01"] == [-2.0] * 4
+    assert out.content["entries"]["a01"]["values"] == (-2.0,) * 4
+    assert out.content["best"]["assignment"]["a01"] == (-2.0,) * 4
 
 
 def test_offset_and_replace_modes():
     out = tamper(_update_message(),
                  AttackConfig(mode="Offset", offset_kw=1.5, active_from_interval=0),
                  current_interval=0)
-    assert out.content["entries"]["evil"]["values"] == [2.5] * 4
+    assert out.content["entries"]["evil"]["values"] == (2.5,) * 4
     out = tamper(_update_message(),
                  AttackConfig(mode="Replace", replacement=[9.0, 9.0, 9.0, 9.0],
                               active_from_interval=0),
                  current_interval=0)
-    assert out.content["entries"]["evil"]["values"] == [9.0] * 4
+    assert out.content["entries"]["evil"]["values"] == (9.0,) * 4
+
+
+def test_falsified_values_are_tuples_that_serialize_as_lists():
+    for config in (AttackConfig(mode="Scale", scale_factor=3.0, active_from_interval=0),
+                   AttackConfig(mode="Offset", offset_kw=1.5, active_from_interval=0),
+                   AttackConfig(mode="Replace", replacement=[9.0] * 4, active_from_interval=0)):
+        out = tamper(_update_message(), config, current_interval=0)
+        for values in (out.content["entries"]["evil"]["values"],
+                       out.content["best"]["assignment"]["evil"]):
+            assert type(values) is tuple
+            assert json.dumps(values) == json.dumps(list(values))
 
 
 def test_inactive_before_the_incident_interval():

@@ -95,32 +95,34 @@ def test_candidate_better_is_a_strict_total_order():
 
 # --- memory merge and wire round-trip ---
 
+def _entry(value, revision):
+    return {"values": (value,) * SLOTS, "revision": revision}
+
+
 def test_merge_keeps_higher_revision_and_local_on_tie():
-    local = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 2),
-                                       "b": ((2.0,) * SLOTS, 1)})
-    received = neg.WorkingMemory(entries={"a": ((9.0,) * SLOTS, 2),
-                                          "b": ((3.0,) * SLOTS, 2),
-                                          "c": ((4.0,) * SLOTS, 0)})
+    local = neg.WorkingMemory(entries={"a": _entry(1.0, 2), "b": _entry(2.0, 1)})
+    received = neg.WorkingMemory(entries={"a": _entry(9.0, 2), "b": _entry(3.0, 2),
+                                          "c": _entry(4.0, 0)})
     merged, changed = neg.merge_memories(local, received)
     assert changed
-    assert merged.entries["a"] == ((1.0,) * SLOTS, 2)  # tie keeps local
-    assert merged.entries["b"] == ((3.0,) * SLOTS, 2)  # higher revision wins
-    assert merged.entries["c"] == ((4.0,) * SLOTS, 0)  # new entry adopted
+    assert merged.entries["a"] == _entry(1.0, 2)  # tie keeps local
+    assert merged.entries["b"] == _entry(3.0, 2)  # higher revision wins
+    assert merged.entries["c"] == _entry(4.0, 0)  # new entry adopted
 
 
 def test_merge_folds_into_the_local_memory_and_leaves_the_received_one_alone():
-    local = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 0)})
-    entry = ((2.0,) * SLOTS, 1)
-    received = neg.WorkingMemory(entries={"a": entry, "b": ((3.0,) * SLOTS, 0)})
+    local = neg.WorkingMemory(entries={"a": _entry(1.0, 0)})
+    entry = _entry(2.0, 1)
+    received = neg.WorkingMemory(entries={"a": entry, "b": _entry(3.0, 0)})
     merged, changed = neg.merge_memories(local, received)
     assert changed and merged is local
     assert local.entries["a"] is entry  # adopted as is, not re-wrapped
-    assert received.entries == {"a": entry, "b": ((3.0,) * SLOTS, 0)}
+    assert received.entries == {"a": entry, "b": _entry(3.0, 0)}
 
 
 def test_merge_reports_no_change_on_stale_gossip():
-    local = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 3)})
-    received = neg.WorkingMemory(entries={"a": ((9.0,) * SLOTS, 1)})
+    local = neg.WorkingMemory(entries={"a": _entry(1.0, 3)})
+    received = neg.WorkingMemory(entries={"a": _entry(9.0, 1)})
     merged, changed = neg.merge_memories(local, received)
     assert not changed
     assert merged.entries == local.entries
@@ -129,10 +131,9 @@ def test_merge_reports_no_change_on_stale_gossip():
 def test_encode_decode_round_trip():
     cand = neg.Candidate({"a": (1.0,) * SLOTS, "b": (-1.0,) * SLOTS}, 0.0,
                          stamp=(7, "a"))
-    mem = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 2),
-                                     "b": ((-1.0,) * SLOTS, 0)},
+    mem = neg.WorkingMemory(entries={"a": _entry(1.0, 2), "b": _entry(-1.0, 0)},
                             best_candidate=cand)
-    back = neg.decode_memory(neg.encode_memory(mem))
+    back = neg.decode_memory(neg.encode_memory(mem), target=[0.0] * SLOTS)
     assert back.entries == mem.entries
     assert back.best_candidate.assignment == cand.assignment
     assert back.best_candidate.stamp == cand.stamp
@@ -141,50 +142,59 @@ def test_encode_decode_round_trip():
 def test_decode_recomputes_objective_from_assignment():
     """A falsified wire objective must not survive decoding."""
     cand = neg.Candidate({"a": (2.0,) * SLOTS}, 99.0)
-    mem = neg.WorkingMemory(entries={"a": ((2.0,) * SLOTS, 0)}, best_candidate=cand)
+    mem = neg.WorkingMemory(entries={"a": _entry(2.0, 0)}, best_candidate=cand)
     content = neg.encode_memory(mem)
-    content["best"]["objective"] = 0.0  # attacker's claim
+    content["best"] = {**content["best"], "objective": 0.0}  # attacker's claim
     back = neg.decode_memory(content, target=[0.0] * SLOTS)
     assert back.best_candidate.objective == pytest.approx(2.0 * SLOTS)
 
 
 def test_decoding_a_seen_wire_form_returns_the_entry_it_came_from():
-    mem = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 2), "b": ((-1.0,) * SLOTS, 0)})
-    forms = {}
-    back = neg.decode_memory(neg.encode_memory(mem, forms), forms=forms)
+    mem = neg.WorkingMemory(entries={"a": _entry(1.0, 2), "b": _entry(-1.0, 0)})
+    back = neg.decode_memory(neg.encode_memory(mem), target=[0.0] * SLOTS)
     assert all(back.entries[aid] is mem.entries[aid] for aid in mem.entries)
+
+
+def test_decoding_adopts_the_received_entry_dicts_as_they_are():
+    content = {"entries": {"a": {"values": (1.0,) * SLOTS, "revision": 2},
+                           "b": {"values": (-1.0,) * SLOTS, "revision": 0},
+                           "evil": {"values": (5.0,) * SLOTS, "revision": 1}},
+               "best": None}
+    back = neg.decode_memory(content, drop={"evil"}, target=[0.0] * SLOTS)
+    assert set(back.entries) == {"a", "b"}
+    assert all(back.entries[aid] is content["entries"][aid] for aid in back.entries)
+    assert back.entries is not content["entries"]  # the dropped one stays on the wire
+    assert "evil" in content["entries"]
 
 
 def test_a_decoded_candidate_with_a_wrong_claim_is_re_encoded_with_the_recomputed_objective():
     cand = neg.Candidate({"a": (2.0,) * SLOTS}, 2.0 * SLOTS, stamp=(3, "a"))
-    mem = neg.WorkingMemory(entries={"a": ((2.0,) * SLOTS, 0)}, best_candidate=cand)
+    mem = neg.WorkingMemory(entries={"a": _entry(2.0, 0)}, best_candidate=cand)
     forms = {}
-    content = neg.encode_memory(mem, forms)
+    content = neg.encode_memory(mem)
     lying = {**content, "best": {**content["best"], "objective": 0.0}}
     back = neg.decode_memory(lying, target=[0.0] * SLOTS, forms=forms)
-    again = neg.encode_memory(back, forms)
+    again = neg.encode_memory(back)
     assert again["best"]["objective"] == 2.0 * SLOTS
     assert again["best"] is not lying["best"]
     # an honest claim re-encodes to the incoming wire form
     honest = neg.decode_memory(content, target=[0.0] * SLOTS, forms=forms)
-    assert neg.encode_memory(honest, forms)["best"] is content["best"]
+    assert neg.encode_memory(honest)["best"] is content["best"]
 
 
 def test_entries_holding_zero_and_negative_zero_keep_their_own_wire_forms():
     # (0.0,) == (-0.0,) and both hash alike, but they serialize differently
-    mem = neg.WorkingMemory(entries={"a": ((0.0,) * SLOTS, 0), "b": ((-0.0,) * SLOTS, 0)})
-    forms = {}
-    content = neg.encode_memory(mem, forms)
-    again = neg.encode_memory(neg.decode_memory(content, forms=forms), forms)
+    mem = neg.WorkingMemory(entries={"a": _entry(0.0, 0), "b": _entry(-0.0, 0)})
+    content = neg.encode_memory(mem)
+    again = neg.encode_memory(neg.decode_memory(content, target=[0.0] * SLOTS))
     for wire in (content, again):
         assert json.dumps(wire["entries"]["a"]["values"]) == json.dumps([0.0] * SLOTS)
         assert json.dumps(wire["entries"]["b"]["values"]) == json.dumps([-0.0] * SLOTS)
 
 
 def test_decode_drops_blacklisted_entries():
-    mem = neg.WorkingMemory(entries={"a": ((1.0,) * SLOTS, 0),
-                                     "evil": ((5.0,) * SLOTS, 0)})
-    back = neg.decode_memory(neg.encode_memory(mem), drop={"evil"})
+    mem = neg.WorkingMemory(entries={"a": _entry(1.0, 0), "evil": _entry(5.0, 0)})
+    back = neg.decode_memory(neg.encode_memory(mem), drop={"evil"}, target=[0.0] * SLOTS)
     assert set(back.entries) == {"a"}
 
 
@@ -252,6 +262,21 @@ def test_exclusion_removes_suspect_from_state():
     assert suspect not in victim.memory.best_candidate.assignment
     assert suspect not in victim.neighbors
     assert not victim.exclude_local(suspect)  # idempotent
+
+
+def test_restart_keeps_only_the_own_entry_with_its_revision_bumped():
+    kernel, agents, ids, _ = _community(seed=2)
+    neg.run_negotiation(0, kernel, agents, ids[0])
+    agent = agents[ids[0]]
+    own = agent.memory.entries[agent.agent_id]
+    values, revision = own["values"], own["revision"]
+    assert len(agent.memory.entries) > 1 and agent.memory.best_candidate is not None
+    assert not agent.dirty
+    agent.restart()
+    assert agent.memory.entries == {agent.agent_id: {"values": values, "revision": revision + 1}}
+    assert agent.memory.best_candidate is None
+    assert agent.dirty
+    assert own == {"values": values, "revision": revision}  # the sent entry is not mutated
 
 
 def test_jitter_scales_and_requantizes_feasible_set():

@@ -68,16 +68,6 @@ def test_parameter_validation():
         build_small_world(nodes, 2, 1.5, seed=1)  # p out of range
 
 
-def test_edges_listing_is_sorted_and_unique():
-    t = build_small_world([f"a{i}" for i in range(9)], 4, 0.2, seed=3)
-    edges = t.edges()
-    assert edges == sorted(edges)
-    assert len(edges) == len(set(edges))
-    assert all(a < b for a, b in edges)
-    # handshake: every adjacency entry appears exactly once as an edge
-    assert sum(len(nbs) for nbs in t.adjacency.values()) == 2 * len(edges)
-
-
 def test_rebuild_excluding_drops_suspects_and_stays_connected():
     nodes = [f"a{i}" for i in range(10)]
     t = build_small_world(nodes, 4, 0.1, seed=2)
