@@ -106,8 +106,6 @@ def cmd_sweep(args) -> int:
     observers = _parse_list(args.observer) or [base.observer_arch]
     levels = _parse_list(args.level, int) or [base.info_level]
     controllers = _parse_list(args.controller) or [base.controller_arch]
-    if args.empty:
-        observers, levels, controllers = [], [], []
     out_root = _output_root(args.out)
     os.makedirs(out_root, exist_ok=True)
     summary = []
@@ -225,7 +223,6 @@ def main(argv=None) -> int:
     p.add_argument("--controller", default="")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tick-cap", type=int, default=None)
-    p.add_argument("--empty", action="store_true", help="run an empty matrix")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="compare completed runs sharing a base scenario")

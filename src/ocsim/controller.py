@@ -9,7 +9,6 @@ instance over the ordinary message bus.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .topology import Topology, rebuild_excluding, DegradedSystemError
@@ -97,16 +96,7 @@ def multi_leveled_react(report, agent, tick=0, central_id="central") -> list:
 
 
 def action_record(a: ControlAction) -> dict:
-    """The serialized form of an action, as evaluation.json holds it;
-    actions.jsonl adds the pushed topology's generation."""
+    """The serialized form of an action, as evaluation.json holds it."""
     return {"kind": a.kind, "issuer": a.issuer, "issued_tick": a.issued_tick,
             "target": a.target, "unit_id": a.unit_id, "new_owner": a.new_owner}
 
-
-def export_actions_jsonl(actions, path) -> None:
-    with open(path, "w") as f:
-        for a in actions:
-            record = action_record(a)
-            record["topology_generation"] = a.topology.generation if a.topology else None
-            f.write(json.dumps(record, sort_keys=True))
-            f.write("\n")

@@ -19,17 +19,8 @@ only projected and scored against the frozen models.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from statistics import median
-
-LEVEL_FIELDS = {
-    1: ("sender", "timestamp"),
-    2: ("sender", "timestamp", "delay_ticks", "traffic_window_count"),
-    3: ("sender", "timestamp", "delay_ticks", "traffic_window_count", "content_values"),
-    4: ("sender", "timestamp", "delay_ticks", "traffic_window_count", "content_values",
-        "unit_constraints"),
-}
 
 # detector constants (fixed; unspecified upstream)
 Z_THRESHOLD = 5.0
@@ -56,18 +47,6 @@ class Observation:
     traffic_window_count: int | None = None
     content_values: tuple | None = None
     unit_constraints: tuple | None = None
-
-    def present_fields(self):
-        fields = {"sender", "timestamp"}
-        if self.delay_ticks is not None:
-            fields.add("delay_ticks")
-        if self.traffic_window_count is not None:
-            fields.add("traffic_window_count")
-        if self.content_values is not None:
-            fields.add("content_values")
-        if self.unit_constraints is not None:
-            fields.add("unit_constraints")
-        return fields
 
 
 @dataclass(frozen=True)
@@ -146,14 +125,14 @@ def build_observations(trace_events, level, constraints_by_sender=None):
     schedules = {}
     out = []
     for e in trace_events:
-        key = (e.message.sender, e.message.interval)
+        sender = e.message.sender
         constraints = None
         if level >= 4 and constraints_by_sender:
-            if key not in schedules:
-                schedules[key] = _schedules(constraints_by_sender.get(key)
-                                            or constraints_by_sender.get(key[0]))
-            constraints = schedules[key]
-        out.append(project(e, level, traffic_count=per_sender_interval[key],
+            if sender not in schedules:
+                schedules[sender] = _schedules(constraints_by_sender.get(sender))
+            constraints = schedules[sender]
+        out.append(project(e, level,
+                           traffic_count=per_sender_interval[sender, e.message.interval],
                            constraints=constraints))
     return out
 
@@ -407,14 +386,8 @@ def run_multi_leveled(training_events, detection_events, agent_ids, unit_types,
 
 
 def report_record(r: AnomalyReport) -> dict:
-    """The serialized form of a report, in reports.jsonl and evaluation.json."""
+    """The serialized form of a report, as evaluation.json holds it."""
     return {"suspect": r.suspect, "first_flagged_interval": r.first_flagged_interval,
             "score": r.score, "detector": r.detector,
             "scope": r.scope.describe() if r.scope else None}
 
-
-def export_reports_jsonl(reports, path) -> None:
-    with open(path, "w") as f:
-        for r in reports:
-            f.write(json.dumps(report_record(r), sort_keys=True))
-            f.write("\n")

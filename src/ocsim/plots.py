@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 
-from .metrics import METRICS
+from .metrics import METRICS, PHASES
 
 WIDTH, HEIGHT = 720, 360
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 40
@@ -103,8 +103,8 @@ def emit_plots(records, margins, destination, incident=None, control=None) -> li
     os.makedirs(destination, exist_ok=True)
     phases = {r.phase for r in records}
     warning = None
-    if phases and phases != {"Normal", "Disruption", "ControlActive"}:
-        missing = {"Normal", "Disruption", "ControlActive"} - phases
+    if phases and phases != set(PHASES):
+        missing = set(PHASES) - phases
         if missing and phases != {"Normal"}:
             warning = "missing phase(s): " + ", ".join(sorted(missing))
         show_markers = phases != {"Normal"}

@@ -86,7 +86,7 @@ class Simulation:
         self.control_done = False
         self.control_tick = None
         self.gossip_completion_tick = None
-        self._interval_event_slices = {}
+        self._training = []  # delivered events before the incident interval
         self._observer = None  # trained at the first detection interval
 
     # --- message handling ---
@@ -215,27 +215,22 @@ class Simulation:
     def _constraints_map(self):
         return {aid: tuple(agent.feasible) for aid, agent in self.agents.items()}
 
-    def _interval_events(self, interval):
-        lo, hi = self._interval_event_slices[interval]
-        return [e for e in self.kernel.trace.events[lo:hi] if e.delivered]
-
-    def _training_events(self):
-        out = []
-        for i in range(self.config.incident_interval):
-            if i in self._interval_event_slices:
-                out.extend(self._interval_events(i))
-        return out
-
-    def _run_detection(self, interval):
+    def _observe(self, interval, events):
+        """Hand the observer one finished interval. Intervals before the
+        incident extend its training window; from then on it is trained once
+        and scores each interval until the first report or the control
+        action."""
         cfg = self.config
-        if self._observer is None:
-            # the training window is complete once detection starts
-            self._observer = obs.TrainedObserver(cfg.observer_arch, cfg.info_level,
-                                                 self._training_events(), list(self.agents),
-                                                 self.unit_types, cfg.seed)
-        new = self._observer.detect(self._interval_events(interval), self._constraints_map())
-        known = {r.suspect for r in self.reports}
-        self.reports.extend(r for r in new if r.suspect not in known)
+        delivered = [e for e in events if e.delivered]
+        if interval < cfg.incident_interval:
+            self._training.extend(delivered)
+        elif not self.control_done and not self.reports:
+            if self._observer is None:
+                self._observer = obs.TrainedObserver(cfg.observer_arch, cfg.info_level,
+                                                     self._training, list(self.agents),
+                                                     self.unit_types, cfg.seed)
+                self._training = None
+            self.reports.extend(self._observer.detect(delivered, self._constraints_map()))
 
     # --- controller ---
 
@@ -327,61 +322,56 @@ class Simulation:
     # --- main loop ---
 
     def run(self) -> RunResult:
-        # Delivered trace events never change, so each finished interval is
-        # frozen out of the cyclic collector's reach: full collections then
-        # stop re-walking the whole retained trace. gc.unfreeze() thaws every
-        # frozen object, so freeze only if nothing else has frozen any.
-        freeze = gc.get_freeze_count() == 0
+        # A run makes no cyclic garbage (see `_wire`), so the cyclic collector
+        # is off for the whole run: its collections would only re-walk the
+        # retained trace. The caller's setting is restored at the end, and
+        # the caller's next collection walks what the run kept once.
+        collecting = gc.isenabled()
+        gc.disable()
         self._wire()
         try:
-            return self._run_intervals(freeze)
+            cfg = self.config
+            records = []
+            for interval in range(cfg.num_intervals):
+                self.kernel.current_interval = interval
+                trace_start = len(self.kernel.trace.events)
+                if interval >= cfg.control_interval and not self.control_done:
+                    report = self._select_report()
+                    if report is not None and cfg.controller_arch != "None":
+                        if cfg.controller_arch == "Centralized":
+                            self._apply_control_centralized(report)
+                        else:
+                            self._apply_control_decentralized(report)
+                active = sorted(set(self.agents) - self.kernel.excluded)
+                rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
+                initiator = rng.choice(active)
+                jitter = self._interval_jitter(interval)
+                cluster, duration, count = neg.run_negotiation(interval, self.kernel,
+                                                               self.agents, initiator,
+                                                               jitter=jitter)
+                blacklist_now = self._blacklist()
+                committed = {aid: v for aid, v in cluster.assignment.items()
+                             if aid not in blacklist_now}
+                aggregate = neg.aggregate_of(committed, len(self.target))
+                quality = neg.objective(aggregate, self.target)
+                records.append(IntervalRecord(
+                    interval=interval, convergence_ticks=_report_duration(duration),
+                    solution_quality=quality,
+                    message_count=self.kernel.trace.interval_counts.get(interval, 0),
+                    phase=classify_phase(interval, cfg)))
+                self._observe(interval, self.kernel.trace.events[trace_start:])
+            margins = compute_margins([r for r in records if r.phase == "Normal"])
+            evaluation = evaluate_run(records, margins)
+            return RunResult(config=cfg, records=records, trace=self.kernel.trace,
+                             reports=self.reports, actions=self.actions,
+                             blacklist=self._blacklist(),
+                             gossip_completion_tick=self.gossip_completion_tick,
+                             control_tick=self.control_tick, margins=margins,
+                             evaluation=evaluation, agents=self.agents)
         finally:
             self._unwire()
-            if freeze:
-                gc.unfreeze()
-
-    def _run_intervals(self, freeze) -> RunResult:
-        cfg = self.config
-        records = []
-        for interval in range(cfg.num_intervals):
-            if freeze:
-                gc.freeze()
-            self.kernel.current_interval = interval
-            trace_start = len(self.kernel.trace.events)
-            if interval >= cfg.control_interval and not self.control_done:
-                report = self._select_report()
-                if report is not None and cfg.controller_arch != "None":
-                    if cfg.controller_arch == "Centralized":
-                        self._apply_control_centralized(report)
-                    else:
-                        self._apply_control_decentralized(report)
-            active = sorted(set(self.agents) - self.kernel.excluded)
-            rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
-            initiator = rng.choice(active)
-            jitter = self._interval_jitter(interval)
-            cluster, duration, count = neg.run_negotiation(interval, self.kernel,
-                                                           self.agents, initiator,
-                                                           jitter=jitter)
-            self._interval_event_slices[interval] = (trace_start, len(self.kernel.trace.events))
-            blacklist_now = self._blacklist()
-            committed = {aid: v for aid, v in cluster.assignment.items()
-                         if aid not in blacklist_now}
-            aggregate = neg.aggregate_of(committed, len(self.target))
-            quality = neg.objective(aggregate, self.target)
-            records.append(IntervalRecord(
-                interval=interval, convergence_ticks=_report_duration(duration),
-                solution_quality=quality,
-                message_count=self.kernel.trace.interval_counts.get(interval, 0),
-                phase=classify_phase(interval, cfg)))
-            if interval >= cfg.incident_interval and not self.control_done and not self.reports:
-                self._run_detection(interval)
-        margins = compute_margins([r for r in records if r.phase == "Normal"])
-        evaluation = evaluate_run(records, margins)
-        return RunResult(config=cfg, records=records, trace=self.kernel.trace,
-                         reports=self.reports, actions=self.actions, blacklist=self._blacklist(),
-                         gossip_completion_tick=self.gossip_completion_tick,
-                         control_tick=self.control_tick, margins=margins,
-                         evaluation=evaluation, agents=self.agents)
+            if collecting:
+                gc.enable()
 
 
 def run_scenario(config: ScenarioConfig, **kwargs) -> RunResult:

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from ocsim import controller as ctrl
@@ -108,16 +106,3 @@ def test_blacklist_state_add_reports_novelty():
     assert state.add("a03")
     assert not state.add("a03")
     assert state.excluded == {"a03"}
-
-
-def test_actions_export_jsonl(tmp_path):
-    agent = _agent("a01", {"a00", "a03"})
-    actions = ctrl.multi_leveled_react(_report("a03"), agent, tick=500)
-    path = tmp_path / "actions.jsonl"
-    ctrl.export_actions_jsonl(actions, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(actions)
-    assert '"kind": "ExcludeLocal"' in lines[0]
-    # one serializer: the evaluation.json record plus the topology generation
-    assert [json.loads(line) for line in lines] == [
-        {**ctrl.action_record(a), "topology_generation": None} for a in actions]

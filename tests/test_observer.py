@@ -1,4 +1,3 @@
-import json
 import random
 from statistics import median
 
@@ -31,14 +30,14 @@ def test_projection_reveals_fields_cumulatively():
     by_level = {lvl: obs.project(e, lvl, traffic_count=7,
                                  constraints=[(1.0,) * SLOTS])
                 for lvl in (1, 2, 3, 4)}
-    assert by_level[1].present_fields() == {"sender", "timestamp"}
+    assert by_level[1].sender == "a00" and by_level[1].timestamp == 7
+    assert (by_level[1].delay_ticks, by_level[1].traffic_window_count,
+            by_level[1].content_values, by_level[1].unit_constraints) == (None,) * 4
     assert by_level[2].delay_ticks == 2 and by_level[2].traffic_window_count == 7
     assert by_level[2].content_values is None
     assert by_level[3].content_values == (1.0,) * SLOTS
     assert by_level[3].unit_constraints is None
     assert by_level[4].unit_constraints == ((1.0,) * SLOTS,)
-    for lvl, o in by_level.items():
-        assert o.present_fields() >= set(obs.LEVEL_FIELDS[1])
 
 
 def test_projection_rejects_unknown_level():
@@ -218,13 +217,10 @@ def test_dedup_prefers_earliest_then_strongest_evidence():
     assert out[0].detector == "constraint"  # tie: proof beats symptom
 
 
-def test_reports_export_jsonl(tmp_path):
+def test_report_record_shape():
     scope = obs.ObserverScope("Decentralized", frozenset({"a00"}), label="a00")
     report = obs.AnomalyReport(suspect="a00", first_flagged_interval=21,
                                score=8.5, detector="robust_z", scope=scope)
-    path = tmp_path / "reports.jsonl"
-    obs.export_reports_jsonl([report], path)
-    assert '"suspect": "a00"' in path.read_text()
-    assert json.loads(path.read_text()) == obs.report_record(report) == {
+    assert obs.report_record(report) == {
         "suspect": "a00", "first_flagged_interval": 21, "score": 8.5,
         "detector": "robust_z", "scope": scope.describe()}

@@ -124,26 +124,35 @@ def test_a_short_training_window_is_refused(observer_arch):
         run_scenario(cfg)
 
 
-def test_finished_intervals_are_frozen_and_thawed_after_the_run(monkeypatch):
-    frozen = []
+def test_the_collector_is_off_during_a_run_and_back_on_after_it(monkeypatch):
+    collecting = []
     run = neg.run_negotiation
 
     def recording(*args, **kwargs):
-        frozen.append(gc.get_freeze_count())
+        collecting.append(gc.isenabled())
         return run(*args, **kwargs)
 
     monkeypatch.setattr(neg, "run_negotiation", recording)
-    before = gc.get_freeze_count()
+    assert gc.isenabled()
     run_scenario(generate_default_scenario(seed=1))
-    assert gc.get_freeze_count() == before == 0
-    assert len(frozen) == 60 and min(frozen) > 0
+    assert gc.isenabled()
+    assert collecting == [False] * 60
 
 
-def test_a_failing_run_thaws_what_it_froze():
-    before = gc.get_freeze_count()
+def test_a_failing_run_switches_the_collector_back_on():
+    assert gc.isenabled()
     with pytest.raises(NonConvergenceError):
         run_scenario(generate_default_scenario(seed=1), tick_cap=5)
-    assert gc.get_freeze_count() == before == 0
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        run_scenario(generate_default_scenario(seed=1))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_a_run_leaves_objects_frozen_by_the_caller_alone():
@@ -154,6 +163,20 @@ def test_a_run_leaves_objects_frozen_by_the_caller_alone():
         assert gc.get_freeze_count() == before
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("observer", ["Centralized", "Decentralized", "GroupedByType",
+                                      "GroupedRandom", "MultiLeveled"])
+@pytest.mark.parametrize("controller", ["Centralized", "Decentralized", "MultiLeveled"])
+def test_a_run_makes_no_cyclic_garbage(controller, observer):
+    """The collector is off during a run only because a run leaves nothing
+    for it to collect."""
+    gc.collect()
+    result = run_scenario(dataclasses.replace(generate_default_scenario(seed=1),
+                                              controller_arch=controller,
+                                              observer_arch=observer))
+    # the result is still referenced: only what the run left behind counts
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("controller", ["Centralized", "Decentralized", "MultiLeveled"])
