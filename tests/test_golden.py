@@ -57,6 +57,18 @@ REPORT_DIGESTS = {
     (4, False): NO_REPORTS,
 }
 
+# (observer_arch, info_level) -> SHA-256 of the tampered report list without a
+# controller; each flags a04 under its own scope's label (Centralized,
+# GroupedByType(Wind), GroupedRandom(g0))
+SCOPED_REPORT_DIGESTS = {
+    ("Centralized", 3): "dee8b5a7219940c1311fdc3f9bd02f05856e799dfec27f9c593edb6be9bd9706",
+    ("Centralized", 4): "941300a0c1320c2f38e5beaa158d0b645111b291a5422699a38e8f11b5cefb4d",
+    ("GroupedByType", 3): "e8f1a249e94d7d367a5c678e22641b189fc85f5248db52156ddaa9b1aa6b46b1",
+    ("GroupedByType", 4): "7665c53fb39b587f83cb0522abf2c83d9567904d5a7e2e4c954defa2e49b8caa",
+    ("GroupedRandom", 3): "4260d1b0113c48598593a093e68c7722292201f6a9e5b59dd2b8baa2b14c0c0c",
+    ("GroupedRandom", 4): "c838abd6debb352592f32e5bf7ec15848f86ee4dec72d39d391e0f1dfdf729b4",
+}
+
 # attack mode -> (report list, trace.jsonl) SHA-256 of a level-4 Decentralized
 # observer run without a controller; pins the wire view `attack.tamper` writes
 # for the two modes the default scenario does not use
@@ -84,8 +96,8 @@ def artifact_digests(controller, out_dir, n_agents=8):
     return {name: _file_digest(out_dir / name) for name in ARTIFACT_DIGESTS[controller]}
 
 
-def _observer_run(level, attack=None):
-    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch="Decentralized",
+def _observer_run(level, attack=None, arch="Decentralized"):
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch=arch,
                               info_level=level, controller_arch="None")
     if attack is not None:
         cfg = dataclasses.replace(cfg, attack=attack)
@@ -119,6 +131,12 @@ def test_a_16_agent_run_matches_its_golden_digests(tmp_path):
 @pytest.mark.parametrize("level,tampered", sorted(REPORT_DIGESTS))
 def test_observer_reports_match_their_golden_digests(level, tampered):
     assert report_digest(level, tampered) == REPORT_DIGESTS[(level, tampered)]
+
+
+@pytest.mark.parametrize("arch,level", sorted(SCOPED_REPORT_DIGESTS))
+def test_scoped_observer_reports_match_their_golden_digests(arch, level):
+    reports = _observer_run(level, arch=arch).reports
+    assert _reports_digest(reports) == SCOPED_REPORT_DIGESTS[(arch, level)]
 
 
 @pytest.mark.parametrize("mode", sorted(ATTACK_DIGESTS))
