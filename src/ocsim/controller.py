@@ -9,7 +9,7 @@ instance over the ordinary message bus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .topology import Topology, rebuild_excluding, DegradedSystemError
 
@@ -25,17 +25,6 @@ class ControlAction:
     new_owner: str | None = None       # for TaskReassignment
 
 
-@dataclass
-class BlacklistState:
-    excluded: set = field(default_factory=set)
-
-    def add(self, suspect) -> bool:
-        if suspect in self.excluded:
-            return False
-        self.excluded.add(suspect)
-        return True
-
-
 def reassign_task(unit, candidates, load_by_agent) -> str:
     """Deterministic new owner: the candidate managing the fewest units,
     ties broken lexicographically."""
@@ -45,7 +34,7 @@ def reassign_task(unit, candidates, load_by_agent) -> str:
     return min(candidates, key=lambda a: (load_by_agent.get(a, 0), a))
 
 
-def centralized_react(report, topology: Topology, blacklist: BlacklistState,
+def centralized_react(report, topology: Topology, blacklist: set,
                       load_by_agent: dict, suspect_unit, issuer="central",
                       tick=0, seed=None) -> list:
     """One topology push over the survivors plus one task reassignment.
@@ -53,12 +42,13 @@ def centralized_react(report, topology: Topology, blacklist: BlacklistState,
     Re-reports about an already blacklisted suspect are idempotent (no
     duplicate actions)."""
     suspect = report.suspect
-    if not blacklist.add(suspect):
+    if suspect in blacklist:
         return []
-    survivors = sorted(topology.nodes - blacklist.excluded)
+    blacklist.add(suspect)
+    survivors = sorted(topology.nodes - blacklist)
     if len(survivors) < 2:
         raise DegradedSystemError(f"only {len(survivors)} agents remain after exclusion")
-    new_topology = rebuild_excluding(topology, blacklist.excluded, seed=seed)
+    new_topology = rebuild_excluding(topology, blacklist, seed=seed)
     actions = [ControlAction(kind="TopologyPush", issuer=issuer, issued_tick=tick,
                              topology=new_topology)]
     if suspect_unit is not None:

@@ -37,7 +37,6 @@ class Message:
 
 @dataclass
 class TraceEvent:
-    tick: int
     message: Message
     delivered: bool  # False = suppressed at send (excluded endpoint)
 
@@ -112,7 +111,7 @@ class Kernel:
         if self.outbound_filter is not None:
             msg = self.outbound_filter(msg)
         if sender in self.excluded or receiver in self.excluded:
-            self.trace.events.append(TraceEvent(tick=self.clock, message=msg, delivered=False))
+            self.trace.events.append(TraceEvent(message=msg, delivered=False))
             return None
         heapq.heappush(self._queue, (msg.delivered_tick, msg.msg_id, msg))
         return msg
@@ -134,7 +133,7 @@ class Kernel:
             while self._queue and self._queue[0][0] == tick:
                 _, _, msg = heapq.heappop(self._queue)
                 msg.interval = self.current_interval
-                self.trace.events.append(TraceEvent(tick=tick, message=msg, delivered=True))
+                self.trace.events.append(TraceEvent(message=msg, delivered=True))
                 self.trace.interval_counts[msg.interval] = \
                     self.trace.interval_counts.get(msg.interval, 0) + 1
                 handler = self.handlers.get(msg.receiver)

@@ -105,11 +105,6 @@ def aggregate_of(assignment: dict, slots: int):
     return agg
 
 
-@dataclass
-class ClusterSchedule:
-    assignment: dict  # agent id -> tuple of kW values
-
-
 class NegotiationAgent:
     """One community participant. Owns one or more units (after task
     reassignment) whose candidate sets are cross-summed into its feasible set."""
@@ -366,14 +361,13 @@ def gossip_to_quiescence(kernel, agents):
 def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
     """Run one negotiation episode to global quiescence.
 
-    Returns (ClusterSchedule, convergence_ticks, message_count). The cluster
-    schedule reflects the schedules the agents actually committed to (their
-    own working-memory entries), which in honest operation coincide with the
+    Returns (assignment, convergence_ticks). The assignment maps agent id to
+    the tuple of kW values the agent actually committed to (its own
+    working-memory entry), which in honest operation coincides with the
     consensus best candidate. `jitter` maps unit id to that interval's
     availability factor.
     """
     kernel.current_interval = interval
-    start_count = kernel.trace.interval_counts.get(interval, 0)
     active = {aid: ag for aid, ag in agents.items() if aid not in kernel.excluded}
     # every agent gets the new memo, so none keeps an older one alive
     forms = {}
@@ -389,10 +383,9 @@ def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
     finally:
         forms.clear()  # control traffic before the next episode decodes anew
     duration = kernel.clock - start_tick
-    count = kernel.trace.interval_counts.get(interval, 0) - start_count
     assignment = {}
     for aid in sorted(active):
         choice = active[aid].own_choice()
         if choice is not None:
             assignment[aid] = choice
-    return ClusterSchedule(assignment), duration, count
+    return assignment, duration

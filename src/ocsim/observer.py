@@ -1,4 +1,4 @@
-"""Observers: information-level projection, scope filtering, anomaly detectors.
+"""Observers: information-level projection, scopes, anomaly detectors.
 
 Information levels are cumulative projections of a message event:
   1: sender and timestamp
@@ -9,8 +9,8 @@ Information levels are cumulative projections of a message event:
 Detectors are deterministic folds over an ordered observation stream. The
 shipped references are a rate/delay margin check (levels 1-2), a robust
 z-score check on reported values (level 3+), and a feasibility check against
-the unit constraints (level 4). Any callable with the same signature can be
-plugged in instead.
+the unit constraints (level 4). Each keeps its state per sender, so scopes
+only choose which agents an observer watches and label its reports.
 
 The learning detectors are split into a train step over the normal-operation
 window and a score step over new observations. A `TrainedObserver` projects
@@ -65,7 +65,7 @@ class AnomalyReport:
     first_flagged_interval: int
     score: float
     detector: str
-    scope: ObserverScope
+    scope: ObserverScope | None = None
 
 
 def _own_values(event_content: dict, sender: str):
@@ -139,7 +139,7 @@ def build_observations(trace_events, level, constraints_by_sender=None):
 
 # --- detectors ---
 
-def detect_constraint(observations, scope=None) -> list:
+def detect_constraint(observations) -> list:
     """Level 4: flag senders whose reported values match no feasible schedule
     within the per-slot tolerance. A broadcast reaches several receivers, so
     each distinct (values, constraints) pair is measured once."""
@@ -158,7 +158,7 @@ def detect_constraint(observations, scope=None) -> list:
         if dist > CONSTRAINT_EPSILON:
             reports[obs.sender] = AnomalyReport(
                 suspect=obs.sender, first_flagged_interval=obs.interval,
-                score=dist, detector="constraint", scope=scope)
+                score=dist, detector="constraint")
     return list(reports.values())
 
 
@@ -188,7 +188,7 @@ def train_statistical(observations):
     return model
 
 
-def score_statistical(observations, model, scope=None) -> list:
+def score_statistical(observations, model) -> list:
     """Level 3+: robust z-score per slot against a `train_statistical` model;
     a sender is flagged after Z_CONSECUTIVE consecutive messages with any slot
     above Z_THRESHOLD."""
@@ -209,15 +209,15 @@ def score_statistical(observations, model, scope=None) -> list:
             if streak[obs.sender] >= Z_CONSECUTIVE and obs.sender not in reports:
                 reports[obs.sender] = AnomalyReport(
                     suspect=obs.sender, first_flagged_interval=obs.interval,
-                    score=z_max, detector="robust_z", scope=scope)
+                    score=z_max, detector="robust_z")
         else:
             streak[obs.sender] = 0
     return list(reports.values())
 
 
-def detect_statistical(observations, training, scope=None) -> list:
+def detect_statistical(observations, training) -> list:
     """Train on `training`, then score `observations`."""
-    return score_statistical(observations, train_statistical(training), scope)
+    return score_statistical(observations, train_statistical(training))
 
 
 def _traffic_profile(observations):
@@ -247,7 +247,7 @@ def train_traffic(observations):
     return rate_bounds, delay_bounds
 
 
-def score_traffic(observations, bounds, scope=None) -> list:
+def score_traffic(observations, bounds) -> list:
     """Levels 1-2: flag senders whose per-interval message rate or mean delay
     grossly deviates from `train_traffic` bounds. Content is never consulted."""
     rate_bounds, delay_bounds = bounds
@@ -257,7 +257,7 @@ def score_traffic(observations, bounds, scope=None) -> list:
     def flag(sender, interval, score):
         if sender not in reports:
             reports[sender] = AnomalyReport(suspect=sender, first_flagged_interval=interval,
-                                            score=score, detector="traffic", scope=scope)
+                                            score=score, detector="traffic")
 
     for sender, per_int in obs_counts.items():
         lo_hi = rate_bounds.get(sender)
@@ -277,9 +277,9 @@ def score_traffic(observations, bounds, scope=None) -> list:
     return list(reports.values())
 
 
-def detect_traffic(observations, training, scope=None) -> list:
+def detect_traffic(observations, training) -> list:
     """Train on `training`, then score `observations`."""
-    return score_traffic(observations, train_traffic(training), scope)
+    return score_traffic(observations, train_traffic(training))
 
 
 # --- scope construction and architecture dispatch ---
@@ -328,43 +328,48 @@ def dedup_reports(reports) -> list:
     return [best[s] for s in sorted(best)]
 
 
+def _watched(events, scope_of):
+    return [e for e in events if e.message.sender in scope_of]
+
+
 class TrainedObserver:
     """One observer architecture trained on its normal-operation window.
 
-    Each part is one information level over a list of scopes, with one model
-    per scope: traffic bounds at levels 1-2, the robust z-score model at
-    level 3+. The window is projected and trained here, once; `detect` only
-    projects and scores new events. MultiLeveled is a centralized traffic
-    part without message content (level 2) plus decentralized
-    content/constraint parts (level 4); its `level` is not used.
+    Each part is one information level over the agents its scopes watch,
+    with one model: traffic bounds at levels 1-2, the robust z-score model at
+    level 3+. A report takes its suspect's scope as its label. The window is
+    projected and trained here, once; `detect` only projects and scores new
+    events. MultiLeveled is a centralized traffic part without message
+    content (level 2) plus a decentralized content/constraint part
+    (level 4); its `level` is not used.
     """
 
     def __init__(self, arch, level, training_events, agent_ids, unit_types, seed):
-        if arch == "MultiLeveled":
-            parts = [(2, make_scopes("Centralized", agent_ids, unit_types, seed)),
-                     (4, make_scopes("Decentralized", agent_ids, unit_types, seed))]
-        else:
-            parts = [(level, make_scopes(arch, agent_ids, unit_types, seed))]
-        self.parts = []  # (level, [(scope, model)])
-        for part_level, scopes in parts:
+        parts = ([(2, "Centralized"), (4, "Decentralized")] if arch == "MultiLeveled"
+                 else [(level, arch)])
+        self.parts = []  # (level, {agent: scope}, model)
+        for part_level, part_arch in parts:
+            scope_of = {a: scope for scope in make_scopes(part_arch, agent_ids, unit_types, seed)
+                        for a in scope.members}
             # training never reads unit constraints, so none are attached
-            train_obs = build_observations(training_events, part_level)
+            train_obs = build_observations(_watched(training_events, scope_of), part_level)
             train = train_traffic if part_level <= 2 else train_statistical
-            self.parts.append((part_level, [(scope, train(scope_filter(train_obs, scope)))
-                                            for scope in scopes]))
+            self.parts.append((part_level, scope_of, train(train_obs)))
 
     def detect(self, detection_events, constraints_by_sender=None) -> list:
         reports = []
-        for level, models in self.parts:
-            detect_obs = build_observations(detection_events, level, constraints_by_sender)
-            for scope, model in models:
-                detect = scope_filter(detect_obs, scope)
-                if level <= 2:
-                    reports.extend(score_traffic(detect, model, scope))
-                else:
-                    reports.extend(score_statistical(detect, model, scope))
-                    if level >= 4:
-                        reports.extend(detect_constraint(detect, scope))
+        for level, scope_of, model in self.parts:
+            observations = build_observations(_watched(detection_events, scope_of), level,
+                                              constraints_by_sender)
+            if level <= 2:
+                found = score_traffic(observations, model)
+            else:
+                found = score_statistical(observations, model)
+                if level >= 4:
+                    found += detect_constraint(observations)
+            for r in found:
+                r.scope = scope_of[r.suspect]
+            reports.extend(found)
         return dedup_reports(reports)
 
 

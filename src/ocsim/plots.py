@@ -102,14 +102,11 @@ def emit_plots(records, margins, destination, incident=None, control=None) -> li
     """One SVG per metric under `destination`; returns the written paths."""
     os.makedirs(destination, exist_ok=True)
     phases = {r.phase for r in records}
+    missing = set(PHASES) - phases
+    show_markers = phases != {"Normal"}
     warning = None
-    if phases and phases != set(PHASES):
-        missing = set(PHASES) - phases
-        if missing and phases != {"Normal"}:
-            warning = "missing phase(s): " + ", ".join(sorted(missing))
-        show_markers = phases != {"Normal"}
-    else:
-        show_markers = True
+    if phases and missing and show_markers:
+        warning = "missing phase(s): " + ", ".join(sorted(missing))
     paths = []
     for metric in METRICS:
         svg = render_metric_svg(records, margins.metric(metric), metric,

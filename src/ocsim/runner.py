@@ -73,7 +73,7 @@ class Simulation:
         dm = config.delay_model
         self.kernel = Kernel(config.seed, dm.min_ticks, dm.max_ticks, tick_cap=tick_cap)
 
-        self.central_blacklist = ctrl.BlacklistState()
+        self.central_blacklist = set()
         # per-agent lag between learning of a blacklist entry and applying the
         # local exclusion (each local controller re-checks the accusation
         # against its own observer before acting)
@@ -158,8 +158,7 @@ class Simulation:
         if msg.kind == "EscalationReport":
             report = obs.AnomalyReport(suspect=msg.content["suspect"],
                                        first_flagged_interval=msg.content["interval"],
-                                       score=msg.content["score"], detector=msg.content["detector"],
-                                       scope=None)
+                                       score=msg.content["score"], detector=msg.content["detector"])
             self._central_react(report)
 
     def _central_react(self, report):
@@ -177,7 +176,7 @@ class Simulation:
                              for a in sorted(action.topology.nodes)}
                 content = {"generation": action.topology.generation,
                            "adjacency": adjacency,
-                           "excluded": sorted(self.central_blacklist.excluded)}
+                           "excluded": sorted(self.central_blacklist)}
                 for aid in sorted(action.topology.nodes):
                     self.kernel.send(CENTRAL_ID, aid, "TopologyPush", content)
             elif action.kind == "TaskReassignment":
@@ -240,7 +239,7 @@ class Simulation:
         legitimately adjusted to the falsified data, so constraint reports
         take precedence."""
         pending = [r for r in self.reports
-                   if r.suspect not in self.central_blacklist.excluded]
+                   if r.suspect not in self.central_blacklist]
         if not pending:
             return None
         return min(pending, key=lambda r: (obs.DETECTOR_RANK.get(r.detector, 3),
@@ -248,7 +247,7 @@ class Simulation:
 
     def _blacklist(self):
         """Every agent excluded by the central controller or by any local one."""
-        return self.central_blacklist.excluded.union(
+        return self.central_blacklist.union(
             *(agent.blacklist for agent in self.agents.values()))
 
     def _finish_exclusion(self):
@@ -312,7 +311,7 @@ class Simulation:
         the observer nearest the anomaly: the suspect's lowest-id honest
         neighbor."""
         neighbors = sorted(self.topology.neighbors(suspect) - {suspect}
-                           - self.central_blacklist.excluded)
+                           - self.central_blacklist)
         neighbors = [n for n in neighbors if n not in self.kernel.excluded]
         if neighbors:
             return self.agents[neighbors[0]]
@@ -346,11 +345,10 @@ class Simulation:
                 rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
                 initiator = rng.choice(active)
                 jitter = self._interval_jitter(interval)
-                cluster, duration, count = neg.run_negotiation(interval, self.kernel,
-                                                               self.agents, initiator,
-                                                               jitter=jitter)
+                assignment, duration = neg.run_negotiation(interval, self.kernel, self.agents,
+                                                           initiator, jitter=jitter)
                 blacklist_now = self._blacklist()
-                committed = {aid: v for aid, v in cluster.assignment.items()
+                committed = {aid: v for aid, v in assignment.items()
                              if aid not in blacklist_now}
                 aggregate = neg.aggregate_of(committed, len(self.target))
                 quality = neg.objective(aggregate, self.target)

@@ -218,12 +218,12 @@ def test_criterion_8_oracle_equivalence():
     # converged assignments beat every single-agent deviation
     for seed in SEEDS:
         kernel, agents, ids, target = _small_community(seed)
-        cluster, _, _ = neg.run_negotiation(0, kernel, agents, ids[0])
-        ok &= set(cluster.assignment) == set(ids)
-        base = neg.objective(neg.aggregate_of(cluster.assignment, slots), target)
+        assignment, _ = neg.run_negotiation(0, kernel, agents, ids[0])
+        ok &= set(assignment) == set(ids)
+        base = neg.objective(neg.aggregate_of(assignment, slots), target)
         for aid in ids:
             for schedule in agents[aid].feasible:
-                trial = dict(cluster.assignment)
+                trial = dict(assignment)
                 trial[aid] = tuple(schedule)
                 alt = neg.objective(neg.aggregate_of(trial, slots), target)
                 ok &= alt >= base - 1e-9

@@ -40,7 +40,7 @@ def test_reassignment_without_candidates_is_degraded():
 def test_centralized_reaction_pushes_topology_and_reassigns():
     ids = [f"a{i:02d}" for i in range(8)]
     topology = build_small_world(ids, 4, 0.1, seed=1)
-    blacklist = ctrl.BlacklistState()
+    blacklist = set()
     unit = UnitModel(unit_id="u-a03", unit_type="PV", feasible_schedules=[(-1.0,) * 4])
     actions = ctrl.centralized_react(_report("a03"), topology, blacklist,
                                      {aid: 1 for aid in ids}, unit, tick=500, seed=1)
@@ -51,25 +51,26 @@ def test_centralized_reaction_pushes_topology_and_reassigns():
     assert push.topology.generation == topology.generation + 1
     assert handover.unit_id == "u-a03"
     assert handover.new_owner in push.topology.nodes
-    assert blacklist.excluded == {"a03"}
+    assert blacklist == {"a03"}
 
 
 def test_centralized_reaction_is_idempotent_per_suspect():
     ids = [f"a{i:02d}" for i in range(8)]
     topology = build_small_world(ids, 4, 0.1, seed=1)
-    blacklist = ctrl.BlacklistState()
+    blacklist = set()
     unit = UnitModel(unit_id="u-a03", unit_type="PV", feasible_schedules=[(-1.0,) * 4])
     first = ctrl.centralized_react(_report("a03"), topology, blacklist,
                                    {}, unit, tick=500, seed=1)
     again = ctrl.centralized_react(_report("a03"), topology, blacklist,
                                    {}, unit, tick=600, seed=1)
     assert first and again == []
+    assert blacklist == {"a03"}
 
 
 def test_centralized_reaction_refuses_degraded_system():
     ids = ["a00", "a01", "a02"]
     topology = build_small_world(ids, 2, 0.0, seed=1)
-    blacklist = ctrl.BlacklistState(excluded={"a01"})
+    blacklist = {"a01"}
     # excluding a second of three leaves a single survivor
     with pytest.raises(DegradedSystemError):
         ctrl.centralized_react(_report("a02"), topology, blacklist,
@@ -99,10 +100,3 @@ def test_multi_leveled_reaction_adds_one_escalation():
     assert [a.kind for a in actions] == \
         ["ExcludeLocal", "BlacklistNotice", "BlacklistNotice", "EscalationReport"]
     assert actions[-1].target == "central"
-
-
-def test_blacklist_state_add_reports_novelty():
-    state = ctrl.BlacklistState()
-    assert state.add("a03")
-    assert not state.add("a03")
-    assert state.excluded == {"a03"}

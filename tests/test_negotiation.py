@@ -222,24 +222,24 @@ def _community(seed, n=6, max_scheds=5):
 
 def test_negotiation_reaches_full_coverage_consensus():
     kernel, agents, ids, target = _community(seed=4)
-    cluster, duration, count = neg.run_negotiation(0, kernel, agents, ids[0])
-    assert set(cluster.assignment) == set(ids)
-    assert duration > 0 and count > 0
+    assignment, duration = neg.run_negotiation(0, kernel, agents, ids[0])
+    assert set(assignment) == set(ids)
+    assert duration > 0 and kernel.trace.interval_counts[0] > 0
     # all agents committed to the same joint candidate
     keys = {neg.candidate_key(a.memory.best_candidate) for a in agents.values()}
     assert len(keys) == 1
     for aid, agent in agents.items():
-        assert agent.own_choice() == cluster.assignment[aid]
+        assert agent.own_choice() == assignment[aid]
 
 
 def test_converged_assignment_is_single_deviation_optimal():
     for seed in range(5):
         kernel, agents, ids, target = _community(seed)
-        cluster, _, _ = neg.run_negotiation(0, kernel, agents, ids[0])
-        base = neg.objective(neg.aggregate_of(cluster.assignment, SLOTS), target)
+        assignment, _ = neg.run_negotiation(0, kernel, agents, ids[0])
+        base = neg.objective(neg.aggregate_of(assignment, SLOTS), target)
         for aid in ids:
             for sched in agents[aid].feasible:
-                trial = dict(cluster.assignment)
+                trial = dict(assignment)
                 trial[aid] = tuple(sched)
                 alt = neg.objective(neg.aggregate_of(trial, SLOTS), target)
                 assert alt >= base - 1e-9

@@ -14,7 +14,7 @@ def _event(sender, values, interval, tick=0, delay=2, receiver="a01"):
     msg = Message(msg_id=tick, sender=sender, receiver=receiver,
                   sent_tick=tick, delivered_tick=tick + delay,
                   kind="WorkingMemoryUpdate", content=content, interval=interval)
-    return TraceEvent(tick=tick + delay, message=msg, delivered=True)
+    return TraceEvent(message=msg, delivered=True)
 
 
 def _series(sender, level, value_by_interval, **kwargs):
@@ -204,6 +204,24 @@ def test_scope_construction_covers_all_architectures():
     assert sum(len(s.members) for s in grouped) == len(ids)  # a partition
     with pytest.raises(ValueError):
         obs.make_scopes("Panopticon", ids, types, seed=1)
+
+
+def test_a_traffic_report_carries_its_suspects_scope_label():
+    """A grouped level-2 observer reports a bursting sender under its own
+    group's label and never reports a sender outside every scope."""
+    types = {"a00": "Wind", "a01": "Wind", "a02": "PV", "a03": "PV",
+             "a04": "Battery", "a05": "Battery"}
+
+    def traffic(interval, counts):
+        return [_event(sender, [1.0] * SLOTS, interval, tick=100 * interval + j)
+                for sender, n in counts.items() for j in range(n)]
+
+    training = [e for i in range(6) for e in traffic(i, dict.fromkeys(types, 3))]
+    observer = obs.TrainedObserver("GroupedByType", 2, training, list(types), types, seed=1)
+    burst = traffic(20, {**dict.fromkeys(types, 3), "a02": 30, "central": 30})
+    reports = observer.detect(burst)
+    assert [(r.suspect, r.detector, r.scope.describe()) for r in reports] == \
+        [("a02", "traffic", "GroupedByType(PV)")]
 
 
 def test_dedup_prefers_earliest_then_strongest_evidence():

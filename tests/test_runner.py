@@ -95,10 +95,10 @@ def test_quality_degrades_only_while_the_attack_is_unmitigated(centralized_run):
     assert max(by_phase["ControlActive"]) <= max(by_phase["Normal"])
 
 
-def test_the_observer_trains_once_per_scope(monkeypatch):
+def test_the_observer_trains_once_per_part(monkeypatch):
     """The training window is fixed once detection starts, so an untampered
-    run that never reports trains each of its 8 scopes once, not once per
-    detection interval."""
+    run that never reports trains its one part once, over all 8 agents its
+    scopes watch, not once per scope or per detection interval."""
     cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch="Decentralized",
                               info_level=4, controller_arch="None")
     cfg = dataclasses.replace(cfg, attack=dataclasses.replace(
@@ -107,13 +107,14 @@ def test_the_observer_trains_once_per_scope(monkeypatch):
     train = obs.train_statistical
 
     def counting(observations):
-        trained.append(len(observations))
+        trained.append({o.sender for o in observations})
         return train(observations)
 
     monkeypatch.setattr(obs, "train_statistical", counting)
     res = run_scenario(cfg)
     assert res.reports == []
-    assert len(trained) == len(cfg.agents) == 8
+    assert trained == [{a.agent_id for a in cfg.agents}]
+    assert len(cfg.agents) == 8
 
 
 @pytest.mark.parametrize("observer_arch", ["Decentralized", "MultiLeveled"])
