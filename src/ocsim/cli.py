@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -70,8 +71,23 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=None, run_id=None) -
     return manifest
 
 
+def _load_scenario(path):
+    """The scenario at `path`, or None after saying on stderr why it cannot
+    be loaded: a missing or unreadable file, invalid JSON, a missing key or
+    a value of the wrong shape."""
+    try:
+        return model.load_scenario(path)
+    except KeyError as exc:
+        print(f"violation: {path}: missing key {exc}", file=sys.stderr)
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        print(f"violation: cannot load {path}: {exc}", file=sys.stderr)
+    return None
+
+
 def cmd_run(args) -> int:
-    config = model.load_scenario(args.scenario)
+    config = _load_scenario(args.scenario)
+    if config is None:
+        return 2
     if args.seed is not None:
         config.seed = args.seed
     violations = model.validate_scenario(config)
@@ -95,7 +111,9 @@ def _parse_list(value, cast=str):
 
 
 def cmd_sweep(args) -> int:
-    base = model.load_scenario(args.scenario)
+    base = _load_scenario(args.scenario)
+    if base is None:
+        return 2
     if args.seed is not None:
         base.seed = args.seed
     violations = model.validate_scenario(base)
@@ -104,7 +122,11 @@ def cmd_sweep(args) -> int:
             print(f"violation: {v}", file=sys.stderr)
         return 2
     observers = _parse_list(args.observer) or [base.observer_arch]
-    levels = _parse_list(args.level, int) or [base.info_level]
+    try:
+        levels = _parse_list(args.level, int) or [base.info_level]
+    except ValueError as exc:
+        print(f"violation: --level {args.level!r}: {exc}", file=sys.stderr)
+        return 2
     controllers = _parse_list(args.controller) or [base.controller_arch]
     out_root = _output_root(args.out)
     os.makedirs(out_root, exist_ok=True)
@@ -140,10 +162,10 @@ def cmd_sweep(args) -> int:
     columns = ["cell", "observer", "level", "controller", "status", "detected"]
     columns += [f"{p}.{m}.out_fraction" for p in met.PHASES for m in met.METRICS]
     summary_path = os.path.join(out_root, "summary.csv")
-    with open(summary_path, "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in summary:
-            f.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+    with open(summary_path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(row.get(c, "")) for c in columns] for row in summary)
     print(f"sweep: {len(summary)} cells -> {summary_path}")
     for row in summary:
         print(f"  {row['cell']}: status={row['status']} detected={row['detected']}")

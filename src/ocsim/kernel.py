@@ -150,16 +150,28 @@ class Kernel:
 # --- trace export ---
 
 
-def _event_record(e: TraceEvent) -> dict:
-    m = e.message
-    return {"msg_id": m.msg_id, "sender": m.sender, "receiver": m.receiver,
-            "sent_tick": m.sent_tick, "delivered_tick": m.delivered_tick,
-            "kind": m.kind, "interval": m.interval, "delivered": e.delivered,
-            "content": m.content}
-
-
 def export_trace_jsonl(trace: EventTrace, path) -> None:
+    """One line per event, with exactly the bytes of
+    `json.dumps(record, sort_keys=True)`. A broadcast hands one content
+    object to every receiver, so each content is serialized once and spliced
+    in as the first key ("content" sorts first). The memo is keyed by
+    identity, which the trace keeps alive, and is cleared at every new
+    interval so that it holds one interval's strings at a time."""
+    contents, names, interval = {}, {}, None
     with open(path, "w") as f:
         for e in trace.events:
-            f.write(json.dumps(_event_record(e), sort_keys=True))
-            f.write("\n")
+            m = e.message
+            if m.interval != interval:
+                interval = m.interval
+                contents.clear()
+            content = contents.get(id(m.content))
+            if content is None:
+                content = contents[id(m.content)] = json.dumps(m.content, sort_keys=True)
+            for name in (m.sender, m.receiver, m.kind):
+                if name not in names:
+                    names[name] = json.dumps(name)
+            f.write(f'{{"content": {content}, "delivered": {"true" if e.delivered else "false"}, '
+                    f'"delivered_tick": {m.delivered_tick}, "interval": {m.interval}, '
+                    f'"kind": {names[m.kind]}, "msg_id": {m.msg_id}, '
+                    f'"receiver": {names[m.receiver]}, "sender": {names[m.sender]}, '
+                    f'"sent_tick": {m.sent_tick}}}\n')

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -46,6 +47,42 @@ def test_run_rejects_invalid_scenario(tmp_path, scenario_file, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def _missing_file(path):
+    return path.parent / "missing.json"
+
+
+def _invalid_json(path):
+    path.write_text("{not json")
+    return path
+
+
+def _missing_attack_start(path):
+    d = json.loads(path.read_text())
+    del d["attack"]["active_from_interval"]
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("spoil,message", [(_missing_file, "No such file"),
+                                           (_invalid_json, "Expecting"),
+                                           (_missing_attack_start, "active_from_interval")])
+def test_a_scenario_that_cannot_be_loaded_exits_2(tmp_path, scenario_file, capsys,
+                                                  command, spoil, message):
+    bad = spoil(scenario_file)
+    assert main([command, "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("violation: ") and message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_refuses_a_level_that_is_not_an_integer(tmp_path, scenario_file, capsys):
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(tmp_path / "x"),
+                 "--level", "1,x"]) == 2
+    assert "--level '1,x'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_seed_override_changes_the_run(tmp_path, scenario_file):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--scenario", str(scenario_file), "--out", str(a)])
@@ -64,6 +101,21 @@ def test_sweep_runs_the_matrix_and_summarizes(tmp_path, scenario_file, capsys):
     assert (out / "Decentralized-L3-Centralized" / "records.csv").exists()
     assert (out / "Decentralized-L4-Centralized" / "records.csv").exists()
     assert "2 cells" in capsys.readouterr().out
+
+
+def test_summary_quotes_a_failure_message_holding_a_comma(tmp_path, scenario_file):
+    d = json.loads(scenario_file.read_text())
+    d["incident_interval"] = 3  # too few training intervals: every cell fails
+    scenario_file.write_text(json.dumps(d))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--level", "3,4"]) == 0
+    with open(out / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+    for row in rows:
+        assert None not in row  # no field beyond the header
+        assert row["status"] == "failed: need >= 5 training intervals, got 3"
 
 
 def test_compare_requires_a_shared_base(tmp_path, scenario_file, capsys):

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ocsim.kernel import DEFAULT_TICK_CAP, Kernel, NonConvergenceError, export_trace_jsonl
+from ocsim.kernel import (DEFAULT_TICK_CAP, EventTrace, Kernel, Message, NonConvergenceError,
+                          TraceEvent, export_trace_jsonl)
 from ocsim.model import generate_default_scenario
 from ocsim.runner import Simulation
 
@@ -142,3 +144,56 @@ def test_trace_jsonl_round_trips_fields(tmp_path):
     assert rec["kind"] == "BlacklistNotice"
     assert rec["content"] == {"suspect": "c"}
     assert rec["delivered"] is True
+
+
+def _reference_jsonl(trace) -> bytes:
+    """The trace.jsonl spec: one `json.dumps(record, sort_keys=True)` per event."""
+    lines = []
+    for e in trace.events:
+        m = e.message
+        record = {"msg_id": m.msg_id, "sender": m.sender, "receiver": m.receiver,
+                  "sent_tick": m.sent_tick, "delivered_tick": m.delivered_tick,
+                  "kind": m.kind, "interval": m.interval, "delivered": e.delivered,
+                  "content": m.content}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode()
+
+
+# leaves that compare (and hash) equal but serialize differently: 0 / 0.0 /
+# -0.0 and 1 / 1.0 / True, so a memo keyed by value writes the wrong bytes
+_json_leaf = st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, None]) | st.floats() | st.text(max_size=3)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_content = st.dictionaries(st.text(max_size=3), _json_value, max_size=3)
+# ids that json.dumps must escape: a quote, a backslash, a non-ASCII character
+_agent = st.sampled_from(["a01", 'a"2', "a\\3", "a\u00e94"])
+
+
+@st.composite
+def _traces(draw):
+    """A trace whose events share a few content objects between receivers,
+    over non-decreasing intervals, so one content can recur in a later one."""
+    pool = draw(st.lists(_content, min_size=1, max_size=4)) + [{"kw": 0.0}, {"kw": -0.0}]
+    rows = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), _agent, _agent,
+                                   st.sampled_from(["WorkingMemoryUpdate", "BlacklistNotice"]),
+                                   st.booleans(), st.integers(0, 3), st.integers(0, 50)),
+                         min_size=1, max_size=20))
+    intervals = sorted(row[5] for row in rows)
+    trace = EventTrace()
+    for msg_id, ((c, sender, receiver, kind, delivered, _, tick), interval) in \
+            enumerate(zip(rows, intervals)):
+        m = Message(msg_id=msg_id, sender=sender, receiver=receiver, sent_tick=tick,
+                    delivered_tick=tick + 1 + msg_id % 3, kind=kind, content=pool[c],
+                    interval=interval)
+        trace.events.append(TraceEvent(message=m, delivered=delivered))
+    return trace
+
+
+@given(_traces())
+@settings(max_examples=300, deadline=None)
+def test_trace_jsonl_is_one_json_dumps_per_event(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    export_trace_jsonl(trace, path)
+    assert path.read_bytes() == _reference_jsonl(trace)
