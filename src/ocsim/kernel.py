@@ -23,7 +23,9 @@ class NonConvergenceError(RuntimeError):
         self.trace = trace
 
 
-@dataclass
+# one Message and one TraceEvent per message sent, all kept by the trace:
+# slots make each a single allocation
+@dataclass(slots=True)
 class Message:
     msg_id: int
     sender: str
@@ -35,7 +37,7 @@ class Message:
     interval: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     message: Message
     delivered: bool  # False = suppressed at send (excluded endpoint)

@@ -9,6 +9,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
+from operator import attrgetter
 from typing import Optional
 
 UNIT_TYPES = ("Wind", "PV", "Battery", "Household")
@@ -81,13 +82,26 @@ class ScenarioConfig:
     delay_model: DelayModel = field(default_factory=DelayModel)
 
 
+_INTEGER_FIELDS = ("num_intervals", "intervals_per_negotiation", "incident_interval",
+                   "control_interval", "info_level", "delay_model.min_ticks",
+                   "delay_model.max_ticks", "topology_params.k", "attack.active_from_interval")
+
+
 def validate_scenario(config: ScenarioConfig) -> list:
     """Check every model invariant; returns a list of violations (empty = ok).
 
     Each violation is a string prefixed with the path of the offending field.
-    Violations are data, not faults: this never raises.
+    Violations are data, not faults: this never raises. The integer fields
+    are type-checked first, and a wrongly typed one is reported alone, since
+    the other checks compare these values.
     """
     v = []
+    for path in _INTEGER_FIELDS:
+        value = attrgetter(path)(config)
+        if type(value) is not int:  # a bool is not a count
+            v.append(f"{path}: expected an integer, got {value!r}")
+    if v:
+        return v
     if config.num_intervals < 1:
         v.append("num_intervals: must be >= 1")
     if config.intervals_per_negotiation < 1:

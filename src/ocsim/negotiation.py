@@ -35,7 +35,7 @@ def choose_best_schedule(feasible_schedules, others_aggregate, target) -> int:
     return best_idx
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     assignment: dict  # agent id -> tuple of kW values
     objective: float
@@ -43,7 +43,7 @@ class Candidate:
     wire: dict | None = field(default=None, compare=False, repr=False)  # set at first encode
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkingMemory:
     # agent id -> {"values": tuple of kW values, "revision": int}; an entry is
     # never mutated, so it is its own wire form (see encode_memory)
@@ -73,6 +73,9 @@ def candidate_better(new: Candidate | None, old: Candidate | None) -> bool:
         return new.objective < old.objective
     if new.stamp != old.stamp:
         return new.stamp < old.stamp
+    # equal assignments give equal keys; most ties are a candidate met again
+    if new is old or new.assignment == old.assignment:
+        return False
     return candidate_key(new) < candidate_key(old)
 
 

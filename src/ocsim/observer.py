@@ -37,7 +37,7 @@ class InsufficientTrainingError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
     level: int
     sender: str

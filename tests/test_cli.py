@@ -47,6 +47,20 @@ def test_run_rejects_invalid_scenario(tmp_path, scenario_file, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,name,value", [
+    (None, "num_intervals", "60"), (None, "num_intervals", 60.0),
+    ("delay_model", "max_ticks", 2.5), (None, "info_level", True)])
+def test_run_rejects_a_wrongly_typed_integer_with_exit_2(tmp_path, scenario_file, capsys,
+                                                         section, name, value):
+    d = json.loads(scenario_file.read_text())
+    (d[section] if section else d)[name] = value
+    scenario_file.write_text(json.dumps(d))
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+    path = f"{section}.{name}" if section else name
+    assert f"violation: {path}: expected an integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def _missing_file(path):
     return path.parent / "missing.json"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ocsim.kernel import (DEFAULT_TICK_CAP, EventTrace, Kernel, Message, NonConvergenceError,
                           TraceEvent, export_trace_jsonl)
 from ocsim.model import generate_default_scenario
+from ocsim.negotiation import Candidate, WorkingMemory
+from ocsim.observer import Observation
 from ocsim.runner import Simulation
 
 
@@ -128,6 +131,29 @@ def test_tick_cap_raises_with_partial_trace():
     with pytest.raises(NonConvergenceError) as exc:
         k.run_to_quiescence()
     assert exc.value.trace.events  # partial trace preserved
+
+
+def _message():
+    return Message(msg_id=0, sender="a", receiver="b", sent_tick=0, delivered_tick=1,
+                   kind="WorkingMemoryUpdate", content={"entries": {}})
+
+
+@pytest.mark.parametrize("record", [
+    _message(), TraceEvent(message=_message(), delivered=True),
+    Candidate({"a": (1.0,)}, 1.0), WorkingMemory(),
+    Observation(level=1, sender="a", timestamp=0, interval=0)],
+    ids=lambda r: type(r).__name__)
+def test_per_message_records_are_slotted(record):
+    # one of each is built per message or per response and the trace keeps them
+    assert not hasattr(record, "__dict__")
+
+
+def test_a_slotted_message_can_still_be_replaced():
+    m = _message()
+    forged = dataclasses.replace(m, content={"entries": {"a": 1}})  # the attack's wire view
+    assert not hasattr(forged, "__dict__")
+    assert forged.content == {"entries": {"a": 1}} and m.content == {"entries": {}}
+    assert dataclasses.replace(forged, content=m.content) == m
 
 
 def test_trace_jsonl_round_trips_fields(tmp_path):

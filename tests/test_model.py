@@ -180,6 +180,24 @@ def test_validation_flags_a_second_compromised_agent(scenario):
         Simulation(bad)
 
 
+def _replace_path(config, path, value):
+    head, _, name = path.rpartition(".")
+    if not head:
+        return dataclasses.replace(config, **{name: value})
+    return dataclasses.replace(config, **{head: dataclasses.replace(
+        getattr(config, head), **{name: value})})
+
+
+@pytest.mark.parametrize("value", ["60", 60.0, 2.5, True])
+@pytest.mark.parametrize("path", [
+    "num_intervals", "intervals_per_negotiation", "incident_interval", "control_interval",
+    "info_level", "delay_model.min_ticks", "delay_model.max_ticks", "topology_params.k",
+    "attack.active_from_interval"])
+def test_validation_reports_a_wrongly_typed_integer_field(scenario, path, value):
+    bad = _replace_path(scenario, path, value)
+    assert validate_scenario(bad) == [f"{path}: expected an integer, got {value!r}"]
+
+
 def test_validation_never_raises_on_garbage():
     cfg = ScenarioConfig(seed=0, num_intervals=0, intervals_per_negotiation=0)
     violations = validate_scenario(cfg)

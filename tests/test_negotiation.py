@@ -93,6 +93,32 @@ def test_candidate_better_is_a_strict_total_order():
             assert neg.candidate_better(a, c)  # transitive
 
 
+def test_a_candidate_met_again_is_not_better_without_sorting(monkeypatch):
+    calls = []
+
+    def counting_key(candidate):
+        calls.append(candidate)
+        return tuple(sorted(candidate.assignment.items()))
+
+    monkeypatch.setattr(neg, "candidate_key", counting_key)
+    c = neg.Candidate({"b": (2.0,), "a": (1.0,)}, 1.0, stamp=(0, "a"))
+    assert not neg.candidate_better(c, c)
+    assert calls == []
+
+
+def test_the_tie_break_agrees_with_the_full_key_comparison():
+    # one coverage, objective and stamp, so only the assignment decides;
+    # few values, so equal assignments in distinct candidates occur too
+    rng = random.Random("tie-break")
+    cands = [neg.Candidate({aid: (rng.choice([-0.5, 0.0, 0.5]),) * SLOTS
+                            for aid in ("a0", "a1", "a2")}, 1.0, stamp=(2, "a1"))
+             for _ in range(30)]
+    assert any(a is not b and a.assignment == b.assignment
+               for a, b in itertools.combinations(cands, 2))
+    for a, b in itertools.product(cands, repeat=2):
+        assert neg.candidate_better(a, b) == (neg.candidate_key(a) < neg.candidate_key(b))
+
+
 # --- memory merge and wire round-trip ---
 
 def _entry(value, revision):
