@@ -1,7 +1,8 @@
 """Experiment orchestration CLI: run one scenario, sweep the architecture
 matrix, compare completed runs.
 
-Exit codes: 0 success, 2 validation/usage failure, 3 runtime fault.
+Exit codes: 0 success, 2 validation/usage failure, 3 runtime fault. A
+validated scenario never ends in `DegradedSystemError` (see README).
 """
 from __future__ import annotations
 
@@ -71,29 +72,27 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=None, run_id=None) -
     return manifest
 
 
-def _load_scenario(path):
-    """The scenario at `path`, or None after saying on stderr why it cannot
-    be loaded: a missing or unreadable file, invalid JSON, a missing key or
-    a value of the wrong shape."""
+def _valid_scenario(args):
+    """The scenario of `args.scenario` with `--seed` applied, or None after
+    printing on stderr one `violation:` line per reason it cannot run."""
     try:
-        return model.load_scenario(path)
-    except KeyError as exc:
-        print(f"violation: {path}: missing key {exc}", file=sys.stderr)
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        print(f"violation: cannot load {path}: {exc}", file=sys.stderr)
-    return None
+        config = model.load_scenario(args.scenario)
+    except model.ScenarioError as exc:
+        violations = exc.violations
+    except (OSError, ValueError, RecursionError) as exc:  # json nests by recursion
+        violations = [f"cannot load {args.scenario}: {exc}"]
+    else:
+        if args.seed is not None:
+            config.seed = args.seed
+        violations = model.validate_scenario(config)
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    return None if violations else config
 
 
 def cmd_run(args) -> int:
-    config = _load_scenario(args.scenario)
+    config = _valid_scenario(args)
     if config is None:
-        return 2
-    if args.seed is not None:
-        config.seed = args.seed
-    violations = model.validate_scenario(config)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
         return 2
     out_dir = _output_root(args.out)
     try:
@@ -111,15 +110,8 @@ def _parse_list(value, cast=str):
 
 
 def cmd_sweep(args) -> int:
-    base = _load_scenario(args.scenario)
+    base = _valid_scenario(args)
     if base is None:
-        return 2
-    if args.seed is not None:
-        base.seed = args.seed
-    violations = model.validate_scenario(base)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
         return 2
     observers = _parse_list(args.observer) or [base.observer_arch]
     try:
@@ -147,8 +139,7 @@ def cmd_sweep(args) -> int:
                                            tick_cap=args.tick_cap, run_id=cell_id)
                     with open(os.path.join(cell_dir, "evaluation.json")) as f:
                         ev = json.load(f)
-                    compromised = [a["agent_id"] for a in model.scenario_to_dict(cell)["agents"]
-                                   if a["is_compromised"]]
+                    compromised = [a.agent_id for a in cell.agents if a.is_compromised]
                     row["status"] = manifest["status"]
                     row["detected"] = any(r["suspect"] in compromised for r in ev["reports"])
                     for phase in met.PHASES:

@@ -25,7 +25,7 @@ class ControlAction:
     new_owner: str | None = None       # for TaskReassignment
 
 
-def reassign_task(unit, candidates, load_by_agent) -> str:
+def reassign_task(candidates, load_by_agent) -> str:
     """Deterministic new owner: the candidate managing the fewest units,
     ties broken lexicographically."""
     candidates = sorted(candidates)
@@ -52,7 +52,7 @@ def centralized_react(report, topology: Topology, blacklist: set,
     actions = [ControlAction(kind="TopologyPush", issuer=issuer, issued_tick=tick,
                              topology=new_topology)]
     if suspect_unit is not None:
-        owner = reassign_task(suspect_unit, survivors, load_by_agent)
+        owner = reassign_task(survivors, load_by_agent)
         actions.append(ControlAction(kind="TaskReassignment", issuer=issuer, issued_tick=tick,
                                      unit_id=suspect_unit.unit_id, new_owner=owner))
     return actions

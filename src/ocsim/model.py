@@ -8,9 +8,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, asdict
-from operator import attrgetter
-from typing import Optional
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 UNIT_TYPES = ("Wind", "PV", "Battery", "Household")
 
@@ -28,14 +30,12 @@ OBSERVER_ARCHS = ("Centralized", "Decentralized", "GroupedByType", "GroupedRando
 CONTROLLER_ARCHS = ("None", "Centralized", "Decentralized", "MultiLeveled")
 ATTACK_MODES = ("Scale", "Offset", "Replace")
 
-Schedule = tuple  # tuple of floats, length = intervals_per_negotiation
-
 
 @dataclass
 class UnitModel:
     unit_id: str
     unit_type: str
-    feasible_schedules: list  # non-empty list of Schedule
+    feasible_schedules: list[tuple[float, ...]]  # non-empty; kW per slot
 
 
 @dataclass
@@ -50,7 +50,7 @@ class AttackConfig:
     mode: str = "Scale"
     scale_factor: float = 3.0
     offset_kw: float = 0.0
-    replacement: Optional[list] = None
+    replacement: tuple[float, ...] | None = None
     active_from_interval: int = 20
 
 
@@ -71,7 +71,7 @@ class ScenarioConfig:
     seed: int
     num_intervals: int = 60
     intervals_per_negotiation: int = 4
-    agents: list = field(default_factory=list)
+    agents: list[AgentSpec] = field(default_factory=list)
     topology_params: TopologyParams = field(default_factory=TopologyParams)
     attack: AttackConfig = field(default_factory=AttackConfig)
     observer_arch: str = "MultiLeveled"
@@ -82,24 +82,77 @@ class ScenarioConfig:
     delay_model: DelayModel = field(default_factory=DelayModel)
 
 
-_INTEGER_FIELDS = ("num_intervals", "intervals_per_negotiation", "incident_interval",
-                   "control_interval", "info_level", "delay_model.min_ticks",
-                   "delay_model.max_ticks", "topology_params.k", "attack.active_from_interval")
+# --- the schema: the annotations above type every field ---
+
+class ScenarioError(ValueError):
+    """A scenario that does not fit the schema; `violations` lists each
+    problem, prefixed with the path of its field."""
+
+    def __init__(self, violations):
+        super().__init__("; ".join(violations))
+        self.violations = violations
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+_NUMBERS = (int, float)
+_FINITE = sys.float_info.max
+_fields = cache(get_type_hints)  # a scenario dataclass's field annotations by name
+
+
+def _typed(value, hint, path, v, load):
+    """Check `value` against the annotation `hint`, appending each problem to
+    `v` under `path`. With `load`, `value` is parsed JSON, and the result is
+    built from it: an object becomes the annotated dataclass and an array the
+    annotated list or tuple. Otherwise `value` was built in code, where a
+    list and a tuple are alike, and is returned as is."""
+    if type(hint) is UnionType:  # `X | None`
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if hint in _KINDS:  # one rule per kind: a bool is not a number, a number is finite
+        if hint is float and type(value) in _NUMBERS:
+            if not -_FINITE <= value <= _FINITE:
+                v.append(f"{path}: non-finite value {value!r}")
+        elif type(value) is not hint:
+            v.append(f"{path}: expected {_KINDS[hint]}, got {value!r}")
+        return value
+    container = get_origin(hint)
+    if container is None:  # a scenario dataclass: its fields are the keys
+        given = value if load else vars(value) if isinstance(value, hint) else None
+        if type(given) is not dict:
+            kind = "an object" if load else hint.__name__
+            v.append(f"{path or 'scenario'}: expected {kind}, got {value!r}")
+            return None
+        prefix = f"{path}." if path else ""
+        hints = _fields(hint)
+        v.extend(f"{prefix}{key}: unknown key" for key in given if key not in hints)
+        kwargs = {name: _typed(given[name], h, prefix + name, v, load)
+                  for name, h in hints.items() if name in given}
+        v.extend(f"{prefix}{name}: missing key" for name in hints if name not in given)
+        if not load:
+            return value
+        return hint(**kwargs) if len(kwargs) == len(hints) else None
+    if type(value) not in (list, tuple):
+        v.append(f"{path}: expected a list, got {value!r}")
+        return None
+    item = get_args(hint)[0]
+    if item is float and all(type(x) in _NUMBERS and -_FINITE <= x <= _FINITE for x in value):
+        items = value  # the bulk of a scenario: element paths only for a bad element
+    else:
+        items = [_typed(x, item, f"{path}[{i}]", v, load) for i, x in enumerate(value)]
+    return container(items) if load else value
 
 
 def validate_scenario(config: ScenarioConfig) -> list:
     """Check every model invariant; returns a list of violations (empty = ok).
 
     Each violation is a string prefixed with the path of the offending field.
-    Violations are data, not faults: this never raises. The integer fields
-    are type-checked first, and a wrongly typed one is reported alone, since
-    the other checks compare these values.
+    Violations are data, not faults: this never raises. Every field is
+    type-checked against its annotation first, and type violations are
+    reported alone, since the other checks compare the values.
     """
     v = []
-    for path in _INTEGER_FIELDS:
-        value = attrgetter(path)(config)
-        if type(value) is not int:  # a bool is not a count
-            v.append(f"{path}: expected an integer, got {value!r}")
+    _typed(config, ScenarioConfig, "", v, load=False)
     if v:
         return v
     if config.num_intervals < 1:
@@ -122,8 +175,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
         v.append("delay_model: need 0 <= min_ticks <= max_ticks")
     tp = config.topology_params
     n = len(config.agents)
-    if tp.k % 2 != 0 or tp.k < 2 or (n and tp.k >= n):
+    if tp.k % 2 != 0 or tp.k < 2 or tp.k >= n:
         v.append(f"topology_params.k: must be even and 2 <= k < n, got k={tp.k}, n={n}")
+    if config.controller_arch in ("Centralized", "MultiLeveled") and n < 4:
+        # these rebuild the topology after an exclusion: 2 <= k < survivors
+        v.append(f"agents: {config.controller_arch} control rebuilds the topology "
+                 f"after an exclusion and needs at least 4 agents, got {n}")
     if not (0.0 <= tp.rewire_probability <= 1.0):
         v.append("topology_params.rewire_probability: must be in [0,1]")
 
@@ -159,9 +216,6 @@ def validate_scenario(config: ScenarioConfig) -> list:
             if len(s) != config.intervals_per_negotiation:
                 v.append(f"{path}.unit.feasible_schedules[{j}]: length {len(s)} != "
                          f"intervals_per_negotiation {config.intervals_per_negotiation}")
-                break
-            if any(x != x or x in (float("inf"), float("-inf")) for x in s):
-                v.append(f"{path}.unit.feasible_schedules[{j}]: non-finite value")
                 break
         if a.is_compromised:
             if compromised is not None:
@@ -233,38 +287,17 @@ def generate_default_scenario(seed: int, n_agents: int = 8) -> ScenarioConfig:
 # --- scenario file round-trip (JSON: key/value + nested lists) ---
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    d = asdict(config)
-    for a in d["agents"]:
-        a["unit"]["feasible_schedules"] = [list(s) for s in a["unit"]["feasible_schedules"]]
-    return d
+    return asdict(config)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    agents = [AgentSpec(agent_id=a["agent_id"],
-                        unit=UnitModel(unit_id=a["unit"]["unit_id"],
-                                       unit_type=a["unit"]["unit_type"],
-                                       feasible_schedules=[tuple(s) for s in a["unit"]["feasible_schedules"]]),
-                        is_compromised=a["is_compromised"])
-              for a in d["agents"]]
-    repl = d["attack"].get("replacement")
-    return ScenarioConfig(
-        seed=d["seed"],
-        num_intervals=d["num_intervals"],
-        intervals_per_negotiation=d["intervals_per_negotiation"],
-        agents=agents,
-        topology_params=TopologyParams(**d["topology_params"]),
-        attack=AttackConfig(mode=d["attack"]["mode"],
-                            scale_factor=d["attack"]["scale_factor"],
-                            offset_kw=d["attack"]["offset_kw"],
-                            replacement=tuple(repl) if repl is not None else None,
-                            active_from_interval=d["attack"]["active_from_interval"]),
-        observer_arch=d["observer_arch"],
-        info_level=d["info_level"],
-        controller_arch=d["controller_arch"],
-        incident_interval=d["incident_interval"],
-        control_interval=d["control_interval"],
-        delay_model=DelayModel(**d["delay_model"]),
-    )
+    """Build a config from parsed JSON, or raise ScenarioError listing every
+    missing, unknown or mistyped field."""
+    v = []
+    config = _typed(d, ScenarioConfig, "", v, load=True)
+    if v:
+        raise ScenarioError(v)
+    return config
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -274,5 +307,7 @@ def save_scenario(config: ScenarioConfig, path) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
+    """Raises OSError for an unreadable file, ValueError for invalid JSON and
+    ScenarioError for JSON that does not fit the schema."""
     with open(path) as f:
         return scenario_from_dict(json.load(f))

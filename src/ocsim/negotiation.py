@@ -215,12 +215,11 @@ class NegotiationAgent:
     def adopt_topology(self, generation, neighbors, excluded):
         """Stale pushes (generation not above the current one) are discarded."""
         if generation <= self.topology_generation:
-            return False
+            return
         self.topology_generation = generation
         self.neighbors = set(neighbors) - {self.agent_id}
         for suspect in excluded:
             self.exclude_local(suspect)
-        return True
 
     # --- internals ---
     def _others_aggregate(self):
@@ -242,8 +241,6 @@ class NegotiationAgent:
         if tuple(values) != cur["values"]:
             self.memory.entries[self.agent_id] = {"values": tuple(values),
                                                   "revision": cur["revision"] + 1}
-            return True
-        return False
 
     def _best_respond(self, kernel):
         """Build a candidate from the current system view plus own best
@@ -259,14 +256,11 @@ class NegotiationAgent:
         agg = aggregate_of(assignment, len(self.target))
         cand = Candidate(assignment, objective(agg, self.target),
                          stamp=(kernel.clock, self.agent_id))
-        changed = False
         if candidate_better(cand, self.memory.best_candidate):
             self.memory.best_candidate = cand
-            changed = True
         best_own = self.memory.best_candidate.assignment.get(self.agent_id)
         if best_own is not None and tuple(best_own) in self._feasible_set():
-            changed = self._set_own(best_own) or changed
-        return changed
+            self._set_own(best_own)
 
     def _feasible_set(self):
         if getattr(self, "_feasible_cache_src", None) is not self.feasible:

@@ -1,8 +1,8 @@
 """Observers: information-level projection, scopes, anomaly detectors.
 
 Information levels are cumulative projections of a message event:
-  1: sender and timestamp
-  2: + communication data (delay, per-interval traffic of the sender)
+  1: sender and timestamp (message rates are counted from these)
+  2: + communication data (the message's delivery delay)
   3: + message content (the sender's reported power values)
   4: + unit constraints (digest of the sender's feasible schedules)
 
@@ -44,7 +44,6 @@ class Observation:
     timestamp: int
     interval: int
     delay_ticks: int | None = None
-    traffic_window_count: int | None = None
     content_values: tuple | None = None
     unit_constraints: tuple | None = None
 
@@ -85,12 +84,11 @@ def _schedules(constraints):
     return tuple(tuple(s) for s in constraints)
 
 
-def project(event, level: int, traffic_count=None, constraints=None) -> Observation:
+def project(event, level: int, constraints=None) -> Observation:
     """Project a delivered trace event down to one information level.
 
-    `traffic_count` is the sender's message count in the event's interval;
-    `constraints` is the sender's feasible-schedule digest. Both are only
-    attached at the levels that may see them.
+    `constraints` is the sender's feasible-schedule digest, only attached at
+    level 4.
     """
     if level not in (1, 2, 3, 4):
         raise ValueError(f"information level must be in 1..4, got {level}")
@@ -99,7 +97,6 @@ def project(event, level: int, traffic_count=None, constraints=None) -> Observat
                       interval=msg.interval)
     if level >= 2:
         obs.delay_ticks = msg.delivered_tick - msg.sent_tick
-        obs.traffic_window_count = traffic_count
     if level >= 3:
         obs.content_values = _own_values(msg.content, msg.sender)
     if level >= 4:
@@ -118,10 +115,6 @@ def build_observations(trace_events, level, constraints_by_sender=None):
     count for levels 1-2 (they are visible communication events). A sender's
     constraints are converted once per call, not once per message.
     """
-    per_sender_interval = {}
-    for e in trace_events:
-        key = (e.message.sender, e.message.interval)
-        per_sender_interval[key] = per_sender_interval.get(key, 0) + 1
     schedules = {}
     out = []
     for e in trace_events:
@@ -131,9 +124,7 @@ def build_observations(trace_events, level, constraints_by_sender=None):
             if sender not in schedules:
                 schedules[sender] = _schedules(constraints_by_sender.get(sender))
             constraints = schedules[sender]
-        out.append(project(e, level,
-                           traffic_count=per_sender_interval[sender, e.message.interval],
-                           constraints=constraints))
+        out.append(project(e, level, constraints=constraints))
     return out
 
 

@@ -255,53 +255,46 @@ class Simulation:
         self.kernel.excluded.update(self._blacklist())
         self.control_done = True
 
-    def _apply_control_centralized(self, report):
-        """Clean cutover: the central instance can coordinate globally, so the
-        topology push and task handover run in a short sub-phase before the
-        next episode starts."""
-        self.control_tick = self.kernel.clock
-        self._central_react(report)
-        self.kernel.run_to_quiescence()
-        self.gossip_completion_tick = self.kernel.clock
-        self._finish_exclusion()
-
     # ticks between a decentralized controller's decision and its first
     # notices hitting the wire (observer cross-check before acting)
     REACTION_LATENCY = 12
 
-    def _apply_control_decentralized(self, report):
-        """A decentralized reaction has no global synchronisation point: the
-        blacklist gossip spreads peer to peer, each local controller applies
-        the exclusion after its own verification lag and drops its working
-        memory, and the community re-negotiates from scratch. All of that
-        extra traffic lands in the current interval's message count — the
-        decentralized mitigation is visible on the bus, not in the quality of
-        the next consensus."""
+    def _apply_control(self, report):
+        """A control sub-phase, run to quiescence before the next episode.
+        Centralized is a clean cutover: the topology push and task handover.
+        A decentralized reaction has no global synchronisation point: the
+        blacklist gossip spreads peer to peer, and each local controller
+        excludes after its own verification lag and re-negotiates from
+        scratch. That extra traffic lands in the current interval's message
+        count, so it shows on the bus, not in the next consensus."""
         arch = self.config.controller_arch
         kernel = self.kernel
         self.control_tick = kernel.clock
-        host = self._detection_host(report.suspect)
-        if host is None:
-            self._finish_exclusion()
-            return
-        if arch == "Decentralized":
-            actions = ctrl.decentralized_react(report, host, tick=kernel.clock)
-        else:  # MultiLeveled
-            actions = ctrl.multi_leveled_react(report, host, tick=kernel.clock,
-                                               central_id=CENTRAL_ID)
-        self.actions.extend(actions)
-        for action in actions:
-            if action.kind == "BlacklistNotice":
-                kernel.send(host.agent_id, action.target, "BlacklistNotice",
-                            {"suspect": report.suspect},
-                            delay=self.REACTION_LATENCY)
-            elif action.kind == "EscalationReport":
-                kernel.send(host.agent_id, CENTRAL_ID, "EscalationReport",
-                            {"suspect": report.suspect,
-                             "interval": report.first_flagged_interval,
-                             "score": report.score,
-                             "detector": report.detector},
-                            delay=self.REACTION_LATENCY)
+        if arch == "Centralized":
+            self._central_react(report)
+        else:
+            host = self._detection_host(report.suspect)
+            if host is None:
+                self._finish_exclusion()
+                return
+            if arch == "Decentralized":
+                actions = ctrl.decentralized_react(report, host, tick=kernel.clock)
+            else:  # MultiLeveled
+                actions = ctrl.multi_leveled_react(report, host, tick=kernel.clock,
+                                                   central_id=CENTRAL_ID)
+            self.actions.extend(actions)
+            for action in actions:
+                if action.kind == "BlacklistNotice":
+                    kernel.send(host.agent_id, action.target, "BlacklistNotice",
+                                {"suspect": report.suspect},
+                                delay=self.REACTION_LATENCY)
+                elif action.kind == "EscalationReport":
+                    kernel.send(host.agent_id, CENTRAL_ID, "EscalationReport",
+                                {"suspect": report.suspect,
+                                 "interval": report.first_flagged_interval,
+                                 "score": report.score,
+                                 "detector": report.detector},
+                                delay=self.REACTION_LATENCY)
         neg.gossip_to_quiescence(kernel, self.agents)
         self.gossip_completion_tick = kernel.clock
         self._finish_exclusion()
@@ -337,10 +330,7 @@ class Simulation:
                 if interval >= cfg.control_interval and not self.control_done:
                     report = self._select_report()
                     if report is not None and cfg.controller_arch != "None":
-                        if cfg.controller_arch == "Centralized":
-                            self._apply_control_centralized(report)
-                        else:
-                            self._apply_control_decentralized(report)
+                        self._apply_control(report)
                 active = sorted(set(self.agents) - self.kernel.excluded)
                 rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
                 initiator = rng.choice(active)

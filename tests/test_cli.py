@@ -70,6 +70,11 @@ def _invalid_json(path):
     return path
 
 
+def _deeply_nested(path):
+    path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    return path
+
+
 def _missing_attack_start(path):
     d = json.loads(path.read_text())
     del d["attack"]["active_from_interval"]
@@ -80,6 +85,7 @@ def _missing_attack_start(path):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("spoil,message", [(_missing_file, "No such file"),
                                            (_invalid_json, "Expecting"),
+                                           (_deeply_nested, "recursion"),
                                            (_missing_attack_start, "active_from_interval")])
 def test_a_scenario_that_cannot_be_loaded_exits_2(tmp_path, scenario_file, capsys,
                                                   command, spoil, message):
@@ -87,6 +93,46 @@ def test_a_scenario_that_cannot_be_loaded_exits_2(tmp_path, scenario_file, capsy
     assert main([command, "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("violation: ") and message in err
+    assert not (tmp_path / "x").exists()
+
+
+def _spoil(changes):
+    """A spoiler that sets each `section.name` (or top-level name) of `changes`."""
+    def spoil(path):
+        d = json.loads(path.read_text())
+        for dotted, value in changes.items():
+            section, _, name = dotted.rpartition(".")
+            (d[section] if section else d)[name] = value
+        path.write_text(json.dumps(d))  # writes NaN and Infinity as Python's json reads them
+        return path
+    return spoil
+
+
+def _three_agents(path):
+    d = json.loads(path.read_text())
+    return _spoil({"agents": d["agents"][:3], "topology_params.k": 2})(path)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("spoil,violations", [
+    (_spoil({"attack.scale_factor": float("nan")}),
+     ["attack.scale_factor: non-finite value nan"]),
+    (_spoil({"attack.offset_kw": float("-inf")}), ["attack.offset_kw: non-finite value -inf"]),
+    (_spoil({"attack.scale_factor": "3"}), ["attack.scale_factor: expected a number, got '3'"]),
+    (_spoil({"topology_params.rewire_probability": "x",
+             "attack.replacement": [1.0, float("nan")]}),
+     ["topology_params.rewire_probability: expected a number, got 'x'",
+      "attack.replacement[1]: non-finite value nan"]),
+    (_spoil({"agents": []}), ["topology_params.k: must be even and 2 <= k < n, got k=4, n=0",
+                              "agents: Centralized control rebuilds the topology after an "
+                              "exclusion and needs at least 4 agents, got 0"]),
+    (_three_agents, ["agents: Centralized control rebuilds the topology after an "
+                     "exclusion and needs at least 4 agents, got 3"])])
+def test_a_malformed_scenario_exits_2_with_one_line_per_violation(
+        tmp_path, scenario_file, capsys, command, spoil, violations):
+    bad = spoil(scenario_file)
+    assert main([command, "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"violation: {v}" for v in violations]
     assert not (tmp_path / "x").exists()
 
 

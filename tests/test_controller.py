@@ -23,16 +23,14 @@ def _agent(aid, neighbors):
 # --- task reassignment ---
 
 def test_reassignment_picks_least_loaded_then_lexicographic():
-    unit = UnitModel(unit_id="u-x", unit_type="Wind", feasible_schedules=[(-1.0,) * 4])
     load = {"a01": 2, "a02": 1, "a03": 1}
-    assert ctrl.reassign_task(unit, ["a01", "a02", "a03"], load) == "a02"
-    assert ctrl.reassign_task(unit, ["a03", "a02"], {}) == "a02"
+    assert ctrl.reassign_task(["a01", "a02", "a03"], load) == "a02"
+    assert ctrl.reassign_task(["a03", "a02"], {}) == "a02"
 
 
 def test_reassignment_without_candidates_is_degraded():
-    unit = UnitModel(unit_id="u-x", unit_type="Wind", feasible_schedules=[(-1.0,) * 4])
     with pytest.raises(DegradedSystemError):
-        ctrl.reassign_task(unit, [], {})
+        ctrl.reassign_task([], {})
 
 
 # --- centralized reaction ---

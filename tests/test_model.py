@@ -1,14 +1,16 @@
+import copy
 import dataclasses
+import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ocsim import model
-from ocsim.model import (SETPOINT_GRID, AttackConfig, ScenarioConfig, UnitModel,
-                         generate_default_scenario, quantize, scenario_from_dict,
+from ocsim.model import (SETPOINT_GRID, AttackConfig, ScenarioConfig, TopologyParams,
+                         UnitModel, generate_default_scenario, quantize, scenario_from_dict,
                          scenario_to_dict, validate_scenario)
-from ocsim.runner import Simulation
+from ocsim.runner import Simulation, run_scenario
 
 
 # --- setpoint grid ---
@@ -198,6 +200,62 @@ def test_validation_reports_a_wrongly_typed_integer_field(scenario, path, value)
     assert validate_scenario(bad) == [f"{path}: expected an integer, got {value!r}"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("path", [
+    "attack.scale_factor", "attack.offset_kw", "topology_params.rewire_probability"])
+def test_validation_refuses_a_non_finite_real(scenario, path, value):
+    bad = _replace_path(scenario, path, value)
+    assert validate_scenario(bad) == [f"{path}: non-finite value {value!r}"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validation_refuses_a_non_finite_replacement_value(scenario, value):
+    bad = dataclasses.replace(scenario, attack=AttackConfig(
+        mode="Replace", replacement=(1.0, 1.0, value, 1.0)))
+    assert validate_scenario(bad) == [f"attack.replacement[2]: non-finite value {value!r}"]
+
+
+@pytest.mark.parametrize("path,value,kind", [
+    ("topology_params.rewire_probability", "x", "a number"),
+    ("attack.scale_factor", "3", "a number"),
+    ("attack.offset_kw", True, "a number"),
+    ("observer_arch", 3, "a string"),
+    ("attack.replacement", "1,1,1,1", "a list")])
+def test_validation_reports_a_wrongly_typed_field(scenario, path, value, kind):
+    bad = _replace_path(scenario, path, value)
+    assert validate_scenario(bad) == [f"{path}: expected {kind}, got {value!r}"]
+
+
+def test_validation_refuses_an_empty_community(scenario):
+    for controller in model.CONTROLLER_ARCHS:
+        bad = dataclasses.replace(scenario, agents=[], controller_arch=controller)
+        assert "topology_params.k: must be even and 2 <= k < n, got k=4, n=0" \
+            in validate_scenario(bad)
+
+
+def _community(scenario, n, controller):
+    """The first `n` default agents, the first one compromised, on a k=2 ring."""
+    agents = [dataclasses.replace(a, is_compromised=i == 0)
+              for i, a in enumerate(scenario.agents[:n])]
+    return dataclasses.replace(scenario, agents=agents, controller_arch=controller,
+                               topology_params=TopologyParams(k=2))
+
+
+@pytest.mark.parametrize("controller", ["Centralized", "MultiLeveled"])
+def test_validation_refuses_a_community_a_topology_rebuild_cannot_hold(scenario, controller):
+    # excluding one of 3 leaves 2 agents, too few for the rebuilt k=2 ring
+    assert validate_scenario(_community(scenario, 3, controller)) == [
+        f"agents: {controller} control rebuilds the topology after an exclusion "
+        f"and needs at least 4 agents, got 3"]
+    result = run_scenario(_community(scenario, 4, controller))
+    assert result.blacklist == {scenario.agents[0].agent_id}
+
+
+@pytest.mark.parametrize("controller", ["None", "Decentralized"])
+def test_three_agents_suffice_without_a_topology_rebuild(scenario, controller):
+    assert validate_scenario(_community(scenario, 3, controller)) == []
+
+
 def test_validation_never_raises_on_garbage():
     cfg = ScenarioConfig(seed=0, num_intervals=0, intervals_per_negotiation=0)
     violations = validate_scenario(cfg)
@@ -218,3 +276,76 @@ def test_scenario_dict_round_trip_preserves_attack_replacement(scenario):
         scenario, attack=AttackConfig(mode="Replace", replacement=(1.0, 1.0, 1.0, 1.0)))
     back = scenario_from_dict(scenario_to_dict(cfg))
     assert back.attack.replacement == (1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("path,value,violation", [
+    (("attack", "scale_factor"), float("nan"), "attack.scale_factor: non-finite value nan"),
+    (("attack", "replacement"), [1.0, float("inf")],
+     "attack.replacement[1]: non-finite value inf"),
+    (("agents", 2, "unit", "feasible_schedules", 1, 3), "1.0",
+     "agents[2].unit.feasible_schedules[1][3]: expected a number, got '1.0'"),
+    (("agents", 0, "is_compromised"), 0, "agents[0].is_compromised: expected a boolean, got 0"),
+    (("delay_model",), [1, 5], "delay_model: expected an object, got [1, 5]"),
+    (("attack", "modus"), "Scale", "attack.modus: unknown key")])
+def test_loading_reports_each_problem_under_its_path(path, value, violation):
+    d = copy.deepcopy(INIT_SEED_1)
+    _at(d, path[:-1])[path[-1]] = value
+    with pytest.raises(model.ScenarioError) as exc:
+        scenario_from_dict(d)
+    assert exc.value.violations == [violation]
+
+
+def test_loading_lists_every_missing_key():
+    d = copy.deepcopy(INIT_SEED_1)
+    del d["seed"], d["attack"]["active_from_interval"], d["agents"][1]["unit"]
+    with pytest.raises(model.ScenarioError) as exc:
+        scenario_from_dict(d)
+    assert exc.value.violations == ["agents[1].unit: missing key",
+                                    "attack.active_from_interval: missing key",
+                                    "seed: missing key"]
+
+
+# --- no scenario file makes loading or validation raise ---
+
+# what `ocsim init --seed 1` writes
+INIT_SEED_1 = json.loads(json.dumps(scenario_to_dict(generate_default_scenario(seed=1))))
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+JSON_VALUES = st.one_of(
+    st.text(max_size=3), st.floats(), st.integers(), st.booleans(), st.none(),
+    st.lists(st.one_of(st.floats(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@settings(max_examples=600, deadline=None)
+@given(path=st.sampled_from(list(_paths(INIT_SEED_1))), drop=st.booleans(), value=JSON_VALUES)
+@example(path=("topology_params", "rewire_probability"), drop=False, value="x")
+@example(path=("attack", "scale_factor"), drop=False, value="3")
+@example(path=("agents",), drop=False, value=[])
+def test_a_mutated_scenario_loads_and_validates_without_raising(path, drop, value):
+    d = copy.deepcopy(INIT_SEED_1)
+    parent = _at(d, path[:-1])
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        config = scenario_from_dict(d)
+    except model.ScenarioError as exc:
+        assert exc.violations and all(type(v) is str for v in exc.violations)
+        return
+    assert all(type(v) is str for v in validate_scenario(config))

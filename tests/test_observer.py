@@ -27,13 +27,12 @@ def _series(sender, level, value_by_interval, **kwargs):
 
 def test_projection_reveals_fields_cumulatively():
     e = _event("a00", [1.0] * SLOTS, interval=3, tick=5, delay=2)
-    by_level = {lvl: obs.project(e, lvl, traffic_count=7,
-                                 constraints=[(1.0,) * SLOTS])
+    by_level = {lvl: obs.project(e, lvl, constraints=[(1.0,) * SLOTS])
                 for lvl in (1, 2, 3, 4)}
     assert by_level[1].sender == "a00" and by_level[1].timestamp == 7
-    assert (by_level[1].delay_ticks, by_level[1].traffic_window_count,
-            by_level[1].content_values, by_level[1].unit_constraints) == (None,) * 4
-    assert by_level[2].delay_ticks == 2 and by_level[2].traffic_window_count == 7
+    assert (by_level[1].delay_ticks, by_level[1].content_values,
+            by_level[1].unit_constraints) == (None,) * 3
+    assert by_level[2].delay_ticks == 2
     assert by_level[2].content_values is None
     assert by_level[3].content_values == (1.0,) * SLOTS
     assert by_level[3].unit_constraints is None
