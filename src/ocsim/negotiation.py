@@ -8,6 +8,7 @@ lowest index / lexicographic agent id so runs are fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .model import quantize
 
@@ -16,7 +17,7 @@ def objective(aggregate, target) -> float:
     """L1 distance of the aggregate power vector to the target profile."""
     if len(aggregate) != len(target):
         raise ValueError(f"length mismatch: {len(aggregate)} vs {len(target)}")
-    return sum(abs(a - t) for a, t in zip(aggregate, target))
+    return sum(map(abs, map(sub, aggregate, target)))
 
 
 def choose_best_schedule(feasible_schedules, others_aggregate, target) -> int:
@@ -29,7 +30,7 @@ def choose_best_schedule(feasible_schedules, others_aggregate, target) -> int:
     best_idx, best_obj = 0, None
     for i, sched in enumerate(feasible_schedules):
         # objective() inlined, in the same order of float operations
-        obj = sum(abs(o + s - t) for o, s, t in zip(others_aggregate, sched, target))
+        obj = sum(map(abs, map(sub, map(add, others_aggregate, sched), target)))
         if best_obj is None or obj < best_obj:
             best_idx, best_obj = i, obj
     return best_idx

@@ -13,9 +13,12 @@ the unit constraints (level 4). Each keeps its state per sender, so scopes
 only choose which agents an observer watches and label its reports.
 
 The learning detectors are split into a train step over the normal-operation
-window and a score step over new observations. A `TrainedObserver` projects
-and trains the window once, when detection starts; every later interval is
-only projected and scored against the frozen models.
+window and a score step over new observations. Training is a fold too: a
+`TrainedObserver` folds each interval before the incident into its running
+state as the interval finishes (per sender, its own reported values, or its
+message counts and delay sums per interval), reading the events directly and
+retaining no window. At the first detection interval it finishes that state
+into frozen models; every later interval is only projected and scored.
 """
 from __future__ import annotations
 
@@ -153,30 +156,58 @@ def detect_constraint(observations) -> list:
     return list(reports.values())
 
 
+class ValueFold:
+    """Training state of a statistical part (level 3+): per watched sender,
+    its own reported values tuples in delivery order, and the intervals in
+    which any watched sender was seen. A sender reports the same number of
+    slots in every message."""
+    __slots__ = ("rows", "intervals")
+
+    def __init__(self):
+        self.rows = {}  # sender -> [values tuple, ...]
+        self.intervals = set()
+
+    def fold(self, events, watched):
+        rows, intervals = self.rows, self.intervals
+        for e in events:
+            msg = e.message
+            sender = msg.sender
+            if sender not in watched:
+                continue
+            intervals.add(msg.interval)
+            values = _own_values(msg.content, sender)
+            if values is not None:
+                rows.setdefault(sender, []).append(values)
+
+    def finish(self):
+        """Per sender and slot, robust location/spread (median, MAD)."""
+        if len(self.intervals) < MIN_TRAINING_INTERVALS:
+            raise InsufficientTrainingError(
+                f"need >= {MIN_TRAINING_INTERVALS} training intervals, "
+                f"got {len(self.intervals)}")
+        model = {}
+        for sender, tuples in self.rows.items():
+            for t, vs in enumerate(zip(*tuples)):
+                med = median(vs)
+                mad = median(abs(v - med) for v in vs)
+                # Units that legitimately swing across a wide operating range
+                # during training (e.g. storage rebalancing) get a
+                # proportionally wide tolerance; half the observed range
+                # bounds normal excursions even when the MAD degenerates to 0.
+                half_range = 0.5 * (max(vs) - min(vs))
+                model[(sender, t)] = (med, max(1.4826 * mad, half_range, Z_SPREAD_FLOOR))
+        return model
+
+
 def train_statistical(observations):
     """Per sender and slot, robust location/spread (median, MAD) over a
     normal-operation training window."""
-    intervals = {o.interval for o in observations}
-    if len(intervals) < MIN_TRAINING_INTERVALS:
-        raise InsufficientTrainingError(
-            f"need >= {MIN_TRAINING_INTERVALS} training intervals, got {len(intervals)}")
-    values = {}
+    fold = ValueFold()
     for o in observations:
-        if o.content_values is None:
-            continue
-        for t, v in enumerate(o.content_values):
-            values.setdefault((o.sender, t), []).append(v)
-    model = {}
-    for key, vs in values.items():
-        med = median(vs)
-        mad = median(abs(v - med) for v in vs)
-        # Units that legitimately swing across a wide operating range during
-        # training (e.g. storage rebalancing) get a proportionally wide
-        # tolerance; half the observed range bounds normal excursions even
-        # when the MAD degenerates to zero.
-        half_range = 0.5 * (max(vs) - min(vs))
-        model[key] = (med, max(1.4826 * mad, half_range, Z_SPREAD_FLOOR))
-    return model
+        fold.intervals.add(o.interval)
+        if o.content_values is not None:
+            fold.rows.setdefault(o.sender, []).append(o.content_values)
+    return fold.finish()
 
 
 def score_statistical(observations, model) -> list:
@@ -222,20 +253,55 @@ def _traffic_profile(observations):
     return counts, delays
 
 
+class TrafficFold:
+    """Training state of a traffic part (levels 1-2): per watched (sender,
+    interval), the message count and the sum of the integer delivery delays.
+    `fold` reads the delays only with `delays` set (level 2)."""
+    __slots__ = ("delays", "counts", "delay_sums")
+
+    def __init__(self, delays):
+        self.delays = delays
+        self.counts = {}  # (sender, interval) -> messages
+        self.delay_sums = {}  # (sender, interval) -> summed delay ticks
+
+    def fold(self, events, watched):
+        counts, sums = self.counts, self.delay_sums
+        for e in events:
+            msg = e.message
+            if msg.sender not in watched:
+                continue
+            key = (msg.sender, msg.interval)
+            counts[key] = counts.get(key, 0) + 1
+            if self.delays:
+                sums[key] = sums.get(key, 0) + msg.delivered_tick - msg.sent_tick
+
+    def finish(self):
+        """Per sender, the range of per-interval message rates and of
+        per-interval mean delays."""
+        rates, means = {}, {}
+        for (sender, _), n in self.counts.items():
+            rates.setdefault(sender, []).append(n)
+        for key, total in self.delay_sums.items():
+            means.setdefault(key[0], []).append(total / self.counts[key])
+        rate_bounds, delay_bounds = {}, {}
+        for sender, rs in rates.items():
+            rate_bounds[sender] = (min(rs), max(rs))
+            if sender in means:
+                delay_bounds[sender] = (min(means[sender]), max(means[sender]))
+        return rate_bounds, delay_bounds
+
+
 def train_traffic(observations):
     """Per sender, the range of per-interval message rates and of per-interval
     mean delays over a normal-operation training window."""
-    train_counts, train_delays = _traffic_profile(observations)
-    means = {}
-    for (sender, _), vs in train_delays.items():
-        means.setdefault(sender, []).append(sum(vs) / len(vs))
-    rate_bounds, delay_bounds = {}, {}
-    for sender, per_int in train_counts.items():
-        rates = list(per_int.values())
-        rate_bounds[sender] = (min(rates), max(rates))
-        if sender in means:
-            delay_bounds[sender] = (min(means[sender]), max(means[sender]))
-    return rate_bounds, delay_bounds
+    fold = TrafficFold(delays=True)  # an observation carries a delay from level 2 on
+    counts, sums = fold.counts, fold.delay_sums
+    for o in observations:
+        key = (o.sender, o.interval)
+        counts[key] = counts.get(key, 0) + 1
+        if o.delay_ticks is not None:
+            sums[key] = sums.get(key, 0) + o.delay_ticks
+    return fold.finish()
 
 
 def score_traffic(observations, bounds) -> list:
@@ -328,24 +394,35 @@ class TrainedObserver:
 
     Each part is one information level over the agents its scopes watch,
     with one model: traffic bounds at levels 1-2, the robust z-score model at
-    level 3+. A report takes its suspect's scope as its label. The window is
-    projected and trained here, once; `detect` only projects and scores new
-    events. MultiLeveled is a centralized traffic part without message
-    content (level 2) plus a decentralized content/constraint part
-    (level 4); its `level` is not used.
+    level 3+. A report takes its suspect's scope as its label. The observer
+    is built without events; `fold` adds each normal-operation interval's
+    delivered events to the parts' training state as the interval finishes,
+    and `finish` turns that state into the models once, at the first
+    detection interval. No window is kept and nothing is projected for
+    training; `detect` only projects and scores new events. MultiLeveled is
+    a centralized traffic part without message content (level 2) plus a
+    decentralized content/constraint part (level 4); its `level` is not used.
     """
 
-    def __init__(self, arch, level, training_events, agent_ids, unit_types, seed):
+    def __init__(self, arch, level, agent_ids, unit_types, seed):
         parts = ([(2, "Centralized"), (4, "Decentralized")] if arch == "MultiLeveled"
                  else [(level, arch)])
-        self.parts = []  # (level, {agent: scope}, model)
+        self.parts = []  # (level, {agent: scope}, training fold, then model)
         for part_level, part_arch in parts:
             scope_of = {a: scope for scope in make_scopes(part_arch, agent_ids, unit_types, seed)
                         for a in scope.members}
-            # training never reads unit constraints, so none are attached
-            train_obs = build_observations(_watched(training_events, scope_of), part_level)
-            train = train_traffic if part_level <= 2 else train_statistical
-            self.parts.append((part_level, scope_of, train(train_obs)))
+            fold = TrafficFold(delays=part_level == 2) if part_level <= 2 else ValueFold()
+            self.parts.append((part_level, scope_of, fold))
+
+    def fold(self, events):
+        """Fold delivered normal-operation events into the training state."""
+        for _, scope_of, fold in self.parts:
+            fold.fold(events, scope_of)
+
+    def finish(self):
+        """Turn the training state into the models `detect` scores against."""
+        self.parts = [(level, scope_of, fold.finish())
+                      for level, scope_of, fold in self.parts]
 
     def detect(self, detection_events, constraints_by_sender=None) -> list:
         reports = []
@@ -368,8 +445,10 @@ def run_observer(arch, level, training_events, detection_events, agent_ids,
                  unit_types, constraints_by_sender, seed) -> list:
     """Run one architecture at one information level over a trace split into
     a normal-operation training window and a detection window."""
-    return TrainedObserver(arch, level, training_events, agent_ids, unit_types,
-                           seed).detect(detection_events, constraints_by_sender)
+    observer = TrainedObserver(arch, level, agent_ids, unit_types, seed)
+    observer.fold(training_events)
+    observer.finish()
+    return observer.detect(detection_events, constraints_by_sender)
 
 
 def run_multi_leveled(training_events, detection_events, agent_ids, unit_types,
@@ -377,8 +456,8 @@ def run_multi_leveled(training_events, detection_events, agent_ids, unit_types,
     """Proposed composition: a centralized traffic observer without message
     content (level 2) plus decentralized content/constraint observers
     (level 4), reports deduplicated by suspect."""
-    return TrainedObserver("MultiLeveled", 4, training_events, agent_ids, unit_types,
-                           seed).detect(detection_events, constraints_by_sender)
+    return run_observer("MultiLeveled", 4, training_events, detection_events, agent_ids,
+                        unit_types, constraints_by_sender, seed)
 
 
 def report_record(r: AnomalyReport) -> dict:

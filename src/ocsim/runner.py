@@ -2,8 +2,9 @@
 
 One run executes `num_intervals` negotiation episodes on a single kernel.
 The attack falsifies the compromised agent's wire view from the incident
-interval on; the observer folds each completed interval's events into anomaly
-reports; the controller reacts at the configured control interval.
+interval on; the observer folds each completed interval's events into its
+training state before the incident and into anomaly reports from it on; the
+controller reacts at the configured control interval.
 """
 from __future__ import annotations
 
@@ -86,8 +87,9 @@ class Simulation:
         self.control_done = False
         self.control_tick = None
         self.gossip_completion_tick = None
-        self._training = []  # delivered events before the incident interval
-        self._observer = None  # trained at the first detection interval
+        # folds each interval before the incident; finished at the incident
+        self._observer = obs.TrainedObserver(config.observer_arch, config.info_level,
+                                             list(self.agents), self.unit_types, config.seed)
 
     # --- message handling ---
 
@@ -216,19 +218,18 @@ class Simulation:
 
     def _observe(self, interval, events):
         """Hand the observer one finished interval. Intervals before the
-        incident extend its training window; from then on it is trained once
-        and scores each interval until the first report or the control
-        action."""
+        incident are folded into its training state; at the incident its
+        models are finished, and from then on it scores each interval until
+        the first report or the control action."""
         cfg = self.config
         delivered = [e for e in events if e.delivered]
         if interval < cfg.incident_interval:
-            self._training.extend(delivered)
+            self._observer.fold(delivered)
         elif not self.control_done and not self.reports:
-            if self._observer is None:
-                self._observer = obs.TrainedObserver(cfg.observer_arch, cfg.info_level,
-                                                     self._training, list(self.agents),
-                                                     self.unit_types, cfg.seed)
-                self._training = None
+            if interval == cfg.incident_interval:
+                # control comes after the incident and reports only from it,
+                # so the first detection interval always reaches this branch
+                self._observer.finish()
             self.reports.extend(self._observer.detect(delivered, self._constraints_map()))
 
     # --- controller ---

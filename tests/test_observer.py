@@ -2,6 +2,7 @@ import random
 from statistics import median
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocsim import observer as obs
 from ocsim.kernel import Message, TraceEvent
@@ -160,6 +161,70 @@ def test_normal_traffic_passes():
     assert obs.detect_traffic(detect, train_obs) == []
 
 
+# --- training folds ---
+
+_AGENTS = ["a00", "a01", "a02", "a03"]
+_TYPES = {"a00": "PV", "a01": "PV", "a02": "Battery", "a03": "Wind"}
+# signed zeros, ints and off-grid floats: the median and the dict orders
+# depend on the order the values arrive in
+_value = st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.1, 1 / 3]) | st.floats(-10, 10)
+
+
+@st.composite
+def _window(draw):
+    """Delivered events of a normal-operation window, one list per interval:
+    own entries, other agents' entries only, no entries at all, and senders
+    outside every scope."""
+    slots = draw(st.integers(1, 3))
+    row = st.tuples(st.sampled_from(_AGENTS + ["central"]),
+                    st.sampled_from(["own", "other", "none"]),
+                    st.tuples(*[_value] * slots), st.integers(0, 4))
+    window, tick = [], 0
+    intervals = draw(st.lists(st.lists(row, min_size=1, max_size=6), min_size=3, max_size=8))
+    for interval, rows in enumerate(intervals):
+        events = []
+        for sender, entries, values, delay in rows:
+            if entries == "none":
+                kind, content = "BlacklistNotice", {"suspect": sender}
+            else:
+                owner = sender if entries == "own" else ("a01" if sender == "a00" else "a00")
+                kind = "WorkingMemoryUpdate"
+                content = {"entries": {owner: {"values": values, "revision": 0}}}
+            msg = Message(msg_id=tick, sender=sender, receiver="a01", sent_tick=tick,
+                          delivered_tick=tick + delay, kind=kind, content=content,
+                          interval=interval)
+            events.append(TraceEvent(message=msg, delivered=True))
+            tick += 1
+        window.append(events)
+    return window
+
+
+@given(_window(), st.sampled_from(["Centralized", "Decentralized", "GroupedByType",
+                                   "GroupedRandom", "MultiLeveled"]), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_folding_interval_by_interval_trains_the_batch_models(window, arch, level):
+    """The models finished from the folded intervals are those that
+    `train_statistical` / `train_traffic` build from the projected window,
+    down to dict order and the sign of a zero, and a window with too few
+    intervals is refused by both."""
+    observer = obs.TrainedObserver(arch, level, _AGENTS, _TYPES, seed=1)
+    for events in window:
+        observer.fold(events)
+    batch = []
+    try:
+        for part_level, scope_of, _ in observer.parts:
+            watched = [e for events in window for e in events
+                       if e.message.sender in scope_of]
+            train = obs.train_traffic if part_level <= 2 else obs.train_statistical
+            batch.append(train(obs.build_observations(watched, part_level)))
+    except obs.InsufficientTrainingError:
+        with pytest.raises(obs.InsufficientTrainingError):
+            observer.finish()
+        return
+    observer.finish()
+    assert repr([model for _, _, model in observer.parts]) == repr(batch)
+
+
 # --- level blindness ---
 
 def test_levels_below_three_cannot_see_content_tampering():
@@ -215,8 +280,10 @@ def test_a_traffic_report_carries_its_suspects_scope_label():
         return [_event(sender, [1.0] * SLOTS, interval, tick=100 * interval + j)
                 for sender, n in counts.items() for j in range(n)]
 
-    training = [e for i in range(6) for e in traffic(i, dict.fromkeys(types, 3))]
-    observer = obs.TrainedObserver("GroupedByType", 2, training, list(types), types, seed=1)
+    observer = obs.TrainedObserver("GroupedByType", 2, list(types), types, seed=1)
+    for i in range(6):
+        observer.fold(traffic(i, dict.fromkeys(types, 3)))
+    observer.finish()
     burst = traffic(20, {**dict.fromkeys(types, 3), "a02": 30, "central": 30})
     reports = observer.detect(burst)
     assert [(r.suspect, r.detector, r.scope.describe()) for r in reports] == \

@@ -8,7 +8,7 @@ from ocsim import observer as obs
 from ocsim.kernel import NonConvergenceError
 from ocsim.metrics import classify_phase
 from ocsim.model import generate_default_scenario
-from ocsim.runner import CONVERGENCE_RESOLUTION, run_scenario
+from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -95,26 +95,65 @@ def test_quality_degrades_only_while_the_attack_is_unmitigated(centralized_run):
     assert max(by_phase["ControlActive"]) <= max(by_phase["Normal"])
 
 
+def _untampered(observer_arch, info_level):
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch=observer_arch,
+                              info_level=info_level, controller_arch="None")
+    return dataclasses.replace(cfg, attack=dataclasses.replace(
+        cfg.attack, active_from_interval=cfg.num_intervals))
+
+
 def test_the_observer_trains_once_per_part(monkeypatch):
     """The training window is fixed once detection starts, so an untampered
     run that never reports trains its one part once, over all 8 agents its
     scopes watch, not once per scope or per detection interval."""
-    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch="Decentralized",
-                              info_level=4, controller_arch="None")
-    cfg = dataclasses.replace(cfg, attack=dataclasses.replace(
-        cfg.attack, active_from_interval=cfg.num_intervals))
+    cfg = _untampered("Decentralized", 4)
     trained = []
-    train = obs.train_statistical
+    finish = obs.ValueFold.finish
 
-    def counting(observations):
-        trained.append({o.sender for o in observations})
-        return train(observations)
+    def counting(fold):
+        trained.append(set(fold.rows))
+        return finish(fold)
 
-    monkeypatch.setattr(obs, "train_statistical", counting)
+    monkeypatch.setattr(obs.ValueFold, "finish", counting)
     res = run_scenario(cfg)
     assert res.reports == []
     assert trained == [{a.agent_id for a in cfg.agents}]
     assert len(cfg.agents) == 8
+
+
+@pytest.mark.parametrize("observer_arch,info_level", [("Centralized", 3), ("Centralized", 2),
+                                                      ("MultiLeveled", 4)])
+def test_the_incident_interval_projects_only_its_own_events(monkeypatch, observer_arch,
+                                                            info_level):
+    """Training folds each interval as it finishes, so the first detection
+    interval projects its own delivered events, once per observer part, and
+    not the training window again."""
+    cfg = _untampered(observer_arch, info_level)
+    projected = []
+    project = obs.project
+
+    def counting(event, *args, **kwargs):
+        projected.append(event)
+        return project(event, *args, **kwargs)
+
+    monkeypatch.setattr(obs, "project", counting)
+    sim = Simulation(cfg)
+    observe = sim._observe
+    seen = {}
+
+    def observing(interval, events):
+        before = len(projected)
+        observe(interval, events)
+        if interval == cfg.incident_interval:
+            seen["projected"] = projected[before:]
+            seen["delivered"] = [e for e in events if e.delivered]
+
+    sim._observe = observing
+    sim.run()
+    parts = 2 if observer_arch == "MultiLeveled" else 1
+    expected = seen["delivered"] * parts
+    assert expected and len(seen["projected"]) == len(expected)
+    assert all(p is e for p, e in zip(seen["projected"], expected))
 
 
 @pytest.mark.parametrize("observer_arch", ["Decentralized", "MultiLeveled"])
