@@ -1,14 +1,13 @@
 """False-data-injection fault model.
 
-From the configured incident interval on, power values that belong to the
-compromised sender's own entry in outgoing negotiation payloads are falsified
-on the wire. The agent's internal state is never touched: only the wire view
-lies, so the manipulation is invisible at information levels that cannot see
-message content.
+From the configured incident interval on, the compromised agent falsifies
+the power values of its own entry in each working-memory broadcast, once
+per broadcast, so every receiver sees the same wire view. The agent's
+internal state is never touched: only the wire view lies, so the
+manipulation is invisible at information levels that cannot see message
+content.
 """
 from __future__ import annotations
-
-import dataclasses
 
 from .model import AttackConfig
 
@@ -35,31 +34,23 @@ def _falsify(content: dict, sender, config: AttackConfig) -> dict:
     shares every part it does not falsify, which is safe because sent
     content is immutable."""
     content = dict(content)
-    entries = content.get("entries", {})
+    entries = content["entries"]
     if sender in entries:
         content["entries"] = {**entries, sender: {
             **entries[sender], "values": _transform(entries[sender]["values"], config)}}
-    best = content.get("best")
-    if best is not None and sender in best.get("assignment", {}):
+    best = content["best"]
+    if best is not None and sender in best["assignment"]:
         assignment = best["assignment"]
         content["best"] = {**best, "assignment": {
             **assignment, sender: _transform(assignment[sender], config)}}
     return content
 
 
-def tamper(message, config: AttackConfig, current_interval: int, falsified=None):
-    """Return the wire view of a compromised agent's message.
-
-    Metadata (ids, ticks, endpoints) is never altered; before the activation
-    interval the message passes through unchanged. The input message and its
-    content are never mutated. `falsified` is the falsified content already
-    made for another message of the same broadcast (same content object);
-    it is reused as is, so all receivers of a broadcast see one wire view.
-    """
+def tamper(content: dict, sender, config: AttackConfig, current_interval: int) -> dict:
+    """Return the wire view of a broadcast content of the compromised
+    `sender`. Before the activation interval it is `content` itself;
+    from it on, a copy with the sender's own values falsified. The input
+    content is never mutated."""
     if current_interval < config.active_from_interval:
-        return message
-    if message.kind != "WorkingMemoryUpdate":
-        return message
-    if falsified is None:
-        falsified = _falsify(message.content, message.sender, config)
-    return dataclasses.replace(message, content=falsified)
+        return content
+    return _falsify(content, sender, config)

@@ -163,26 +163,48 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _load_run(d):
+    """(manifest, evaluation, cells) of run dir `d`, where `cells` maps each
+    (phase, metric) to its (out, total, above). Raises OSError if a file
+    cannot be read, and ValueError, LookupError, TypeError or RecursionError
+    (json nests by recursion) if one is not JSON or lacks a field that
+    compare reads."""
+    with open(os.path.join(d, "manifest.json")) as f:
+        manifest = json.load(f)
+    with open(os.path.join(d, "evaluation.json")) as f:
+        evaluation = json.load(f)["evaluation"]
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), str) for k in ("run_id", "status", "base_hash"))):
+        raise ValueError("manifest.json needs the strings run_id, status and base_hash")
+    cells = {}
+    for phase in met.PHASES:
+        for m in met.METRICS:
+            a = evaluation["per_phase"][phase][m]
+            cells[phase, m] = (a["out"], a["total"], a["above"])
+    return manifest, evaluation, cells
+
+
 def cmd_compare(args) -> int:
     runs = []
     for d in args.run_dirs:
         try:
-            with open(os.path.join(d, "manifest.json")) as f:
-                manifest = json.load(f)
-            with open(os.path.join(d, "evaluation.json")) as f:
-                ev = json.load(f)
+            manifest, evaluation, cells = _load_run(d)
         except OSError as exc:
             print(f"refused: cannot read run dir {d}: {exc}", file=sys.stderr)
             return 2
-        runs.append((d, manifest, ev))
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+            print(f"refused: run dir {d} has a malformed or incomplete manifest.json or "
+                  f"evaluation.json: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        runs.append((d, manifest, evaluation, cells))
     if len(runs) < 2:
         print("refused: need at least 2 run dirs", file=sys.stderr)
         return 2
-    for d, manifest, _ in runs:
+    for d, manifest, _, _ in runs:
         if manifest["status"] != "completed":
             print(f"refused: run {d} is not completed", file=sys.stderr)
             return 2
-    base_hashes = {m["base_hash"] for _, m, _ in runs}
+    base_hashes = {m["base_hash"] for _, m, _, _ in runs}
     if len(base_hashes) != 1:
         print("refused: runs have different base scenarios (only architecture "
               "fields may differ)", file=sys.stderr)
@@ -192,12 +214,11 @@ def cmd_compare(args) -> int:
         print(f"  phase {phase}:")
         for m in met.METRICS:
             line = []
-            for d, manifest, ev in runs:
-                a = ev["evaluation"]["per_phase"][phase][m]
-                line.append(f"{manifest['run_id']}: out={a['out']}/{a['total']}"
-                            f" (above={a['above']})")
+            for _, manifest, _, cells in runs:
+                out, total, above = cells[phase, m]
+                line.append(f"{manifest['run_id']}: out={out}/{total} (above={above})")
             print(f"    {m}: " + " | ".join(line))
-    identical = len({json.dumps(ev["evaluation"], sort_keys=True) for _, _, ev in runs}) == 1
+    identical = len({json.dumps(ev, sort_keys=True) for _, _, ev, _ in runs}) == 1
     print("no differences" if identical else "runs differ (see table above)")
     return 0
 
@@ -210,6 +231,11 @@ def cmd_init(args) -> int:
         return 2
     if args.controller:
         config.controller_arch = args.controller
+    violations = model.validate_scenario(config)
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    if violations:
+        return 2
     model.save_scenario(config, args.scenario)
     print(f"wrote default scenario ({args.agents} agents, seed {args.seed}) -> {args.scenario}")
     return 0

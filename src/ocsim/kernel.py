@@ -78,7 +78,6 @@ class Kernel:
         self._queue = []
         self._next_msg_id = 0
         self._getrandbits = random.Random(f"ocsim-delay:{seed}").getrandbits
-        self.outbound_filter = None  # optional callable(Message) -> Message (wire view)
         self.tick_hook = None  # optional callable(kernel, tick), fires once per tick
 
     def register(self, agent_id, handler):
@@ -101,17 +100,15 @@ class Kernel:
             drawn = self._getrandbits(self._delay_bits)
         if delay is None:
             delay = self.delay_min + drawn
-        # content is immutable once handed to send(): the attack filter
-        # copies instead of mutating, negotiation decodes each broadcast's
-        # content once for all its receivers, and working-memory entries and
-        # encoded candidates are shared between broadcasts too, so no
-        # defensive copy
+        # content is immutable once handed to send(): a compromised agent's
+        # falsified wire view is a copy made before its broadcast, negotiation
+        # decodes each broadcast's content once for all its receivers, and
+        # working-memory entries and encoded candidates are shared between
+        # broadcasts too, so no defensive copy
         msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,
                       sent_tick=self.clock, delivered_tick=self.clock + delay,
                       kind=kind, content=content,
                       interval=self.current_interval)
-        if self.outbound_filter is not None:
-            msg = self.outbound_filter(msg)
         if sender in self.excluded or receiver in self.excluded:
             self.trace.events.append(TraceEvent(message=msg, delivered=False))
             return None

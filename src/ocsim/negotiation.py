@@ -125,6 +125,8 @@ class NegotiationAgent:
         self._jitter = {}
         self.dirty = False  # merged new information, response still pending
         self.forms = {}  # the interval's decodes, shared by all agents (see decode_memory)
+        # compromised agents only: callable(content, current_interval=...) -> wire view
+        self.tamper = None
 
     # --- task reassignment ---
     def adopt_unit(self, unit):
@@ -271,6 +273,9 @@ class NegotiationAgent:
 
     def _broadcast(self, kernel):
         content = encode_memory(self.memory)
+        if self.tamper is not None:
+            # one wire view per broadcast, shared by every receiver
+            content = self.tamper(content, current_interval=kernel.current_interval)
         for nb in sorted(self.neighbors):
             kernel.send(self.agent_id, nb, "WorkingMemoryUpdate", content)
 

@@ -8,6 +8,7 @@ controller reacts at the configured control interval.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import random
 from dataclasses import dataclass, field
@@ -57,13 +58,13 @@ class Simulation:
 
         self.agents = {}
         self.unit_types = {}
-        self.compromised_id = None
         for spec in config.agents:
             agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target)
             self.agents[spec.agent_id] = agent
             self.unit_types[spec.agent_id] = spec.unit.unit_type
             if spec.is_compromised:
-                self.compromised_id = spec.agent_id
+                agent.tamper = functools.partial(attack_mod.tamper, sender=spec.agent_id,
+                                                 config=config.attack)
 
         tp = config.topology_params
         self.topology = build_small_world(self.agents, tp.k, tp.rewire_probability,
@@ -74,18 +75,16 @@ class Simulation:
         dm = config.delay_model
         self.kernel = Kernel(config.seed, dm.min_ticks, dm.max_ticks, tick_cap=tick_cap)
 
-        self.central_blacklist = set()
+        self.central_blacklist = set()  # the central controller's; see `_apply_control`
         # per-agent lag between learning of a blacklist entry and applying the
         # local exclusion (each local controller re-checks the accusation
         # against its own observer before acting)
         self._react_lag = {aid: random.Random(f"ocsim-react:{config.seed}:{aid}").randint(8, 64)
                            for aid in self.agents}
         self._notice_seen = set()
-        self._last_wire = (None, None)  # (sent content, its wire view) of the attack filter
         self.reports = []
         self.actions = []
-        self.control_done = False
-        self.control_tick = None
+        self.control_tick = None  # set once, when control is applied
         self.gossip_completion_tick = None
         # folds each interval before the incident; finished at the incident
         self._observer = obs.TrainedObserver(config.observer_arch, config.info_level,
@@ -94,29 +93,16 @@ class Simulation:
     # --- message handling ---
 
     def _wire(self):
-        """Connect the kernel to this simulation's handlers and attack filter.
-        They close over the simulation, so `_unwire` drops them again when
-        the run ends: otherwise simulation, kernel and the retained trace
-        form one reference cycle that only a full collection can free."""
+        """Connect the kernel to this simulation's handlers. They close over
+        the simulation, so `_unwire` drops them again when the run ends:
+        otherwise simulation, kernel and the retained trace form one
+        reference cycle that only a full collection can free."""
         for aid in self.agents:
             self.kernel.register(aid, self._agent_handler(aid))
         self.kernel.register(CENTRAL_ID, self._central_handler)
-        if self.compromised_id is not None:
-            self.kernel.outbound_filter = self._wire_filter
 
     def _unwire(self):
         self.kernel.handlers.clear()
-        self.kernel.outbound_filter = None
-
-    def _wire_filter(self, msg):
-        if msg.sender != self.compromised_id:
-            return msg
-        # a broadcast sends one content object to each neighbor in turn
-        source, wire = self._last_wire
-        wire = attack_mod.tamper(msg, self.config.attack, self.kernel.current_interval,
-                                 falsified=wire.content if source is msg.content else None)
-        self._last_wire = (msg.content, wire)
-        return wire
 
     def _agent_handler(self, aid):
         agent = self.agents[aid]
@@ -164,8 +150,7 @@ class Simulation:
             self._central_react(report)
 
     def _central_react(self, report):
-        suspect_agent = self.agents.get(report.suspect)
-        suspect_unit = suspect_agent.units[0] if suspect_agent else None
+        suspect_unit = self.agents[report.suspect].units[0]
         load = {aid: len(a.units) for aid, a in self.agents.items()}
         actions = ctrl.centralized_react(
             report, self.topology, self.central_blacklist, load, suspect_unit,
@@ -225,7 +210,7 @@ class Simulation:
         delivered = [e for e in events if e.delivered]
         if interval < cfg.incident_interval:
             self._observer.fold(delivered)
-        elif not self.control_done and not self.reports:
+        elif self.control_tick is None and not self.reports:
             if interval == cfg.incident_interval:
                 # control comes after the incident and reports only from it,
                 # so the first detection interval always reaches this branch
@@ -239,22 +224,8 @@ class Simulation:
         falsified values; statistical flags may also hit honest agents that
         legitimately adjusted to the falsified data, so constraint reports
         take precedence."""
-        pending = [r for r in self.reports
-                   if r.suspect not in self.central_blacklist]
-        if not pending:
-            return None
-        return min(pending, key=lambda r: (obs.DETECTOR_RANK.get(r.detector, 3),
-                                           r.first_flagged_interval, r.suspect))
-
-    def _blacklist(self):
-        """Every agent excluded by the central controller or by any local one."""
-        return self.central_blacklist.union(
-            *(agent.blacklist for agent in self.agents.values()))
-
-    def _finish_exclusion(self):
-        """Cut the suspects off the bus once the controllers are done."""
-        self.kernel.excluded.update(self._blacklist())
-        self.control_done = True
+        return min(self.reports, key=lambda r: (obs.DETECTOR_RANK.get(r.detector, 3),
+                                                r.first_flagged_interval, r.suspect))
 
     # ticks between a decentralized controller's decision and its first
     # notices hitting the wire (observer cross-check before acting)
@@ -267,17 +238,20 @@ class Simulation:
         blacklist gossip spreads peer to peer, and each local controller
         excludes after its own verification lag and re-negotiates from
         scratch. That extra traffic lands in the current interval's message
-        count, so it shows on the bus, not in the next consensus."""
+        count, so it shows on the bus, not in the next consensus. Control
+        runs once; when it is done, every agent excluded by the central
+        controller or by any local one is cut off the bus, and
+        `kernel.excluded` is the run's blacklist from then on."""
         arch = self.config.controller_arch
         kernel = self.kernel
         self.control_tick = kernel.clock
         if arch == "Centralized":
             self._central_react(report)
         else:
-            host = self._detection_host(report.suspect)
-            if host is None:
-                self._finish_exclusion()
-                return
+            # the controller co-located with the observer nearest the
+            # anomaly: the suspect's lowest-id neighbor (a validated topology
+            # is connected, so there is one)
+            host = self.agents[min(self.topology.neighbors(report.suspect))]
             if arch == "Decentralized":
                 actions = ctrl.decentralized_react(report, host, tick=kernel.clock)
             else:  # MultiLeveled
@@ -298,19 +272,8 @@ class Simulation:
                                 delay=self.REACTION_LATENCY)
         neg.gossip_to_quiescence(kernel, self.agents)
         self.gossip_completion_tick = kernel.clock
-        self._finish_exclusion()
-
-    def _detection_host(self, suspect):
-        """The decentralized reaction starts at the controller co-located with
-        the observer nearest the anomaly: the suspect's lowest-id honest
-        neighbor."""
-        neighbors = sorted(self.topology.neighbors(suspect) - {suspect}
-                           - self.central_blacklist)
-        neighbors = [n for n in neighbors if n not in self.kernel.excluded]
-        if neighbors:
-            return self.agents[neighbors[0]]
-        others = sorted(set(self.agents) - {suspect} - self.kernel.excluded)
-        return self.agents[others[0]] if others else None
+        kernel.excluded.update(self.central_blacklist.union(
+            *(agent.blacklist for agent in self.agents.values())))
 
     # --- main loop ---
 
@@ -328,20 +291,16 @@ class Simulation:
             for interval in range(cfg.num_intervals):
                 self.kernel.current_interval = interval
                 trace_start = len(self.kernel.trace.events)
-                if interval >= cfg.control_interval and not self.control_done:
-                    report = self._select_report()
-                    if report is not None and cfg.controller_arch != "None":
-                        self._apply_control(report)
+                if (self.reports and self.control_tick is None
+                        and interval >= cfg.control_interval and cfg.controller_arch != "None"):
+                    self._apply_control(self._select_report())
                 active = sorted(set(self.agents) - self.kernel.excluded)
                 rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
                 initiator = rng.choice(active)
                 jitter = self._interval_jitter(interval)
                 assignment, duration = neg.run_negotiation(interval, self.kernel, self.agents,
                                                            initiator, jitter=jitter)
-                blacklist_now = self._blacklist()
-                committed = {aid: v for aid, v in assignment.items()
-                             if aid not in blacklist_now}
-                aggregate = neg.aggregate_of(committed, len(self.target))
+                aggregate = neg.aggregate_of(assignment, len(self.target))
                 quality = neg.objective(aggregate, self.target)
                 records.append(IntervalRecord(
                     interval=interval, convergence_ticks=_report_duration(duration),
@@ -353,7 +312,7 @@ class Simulation:
             evaluation = evaluate_run(records, margins)
             return RunResult(config=cfg, records=records, trace=self.kernel.trace,
                              reports=self.reports, actions=self.actions,
-                             blacklist=self._blacklist(),
+                             blacklist=set(self.kernel.excluded),
                              gossip_completion_tick=self.gossip_completion_tick,
                              control_tick=self.control_tick, margins=margins,
                              evaluation=evaluation, agents=self.agents)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -24,6 +25,14 @@ def test_init_refuses_a_community_too_small_for_its_topology(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     assert main(["init", "--scenario", str(path), "--agents", "4"]) == 2
     assert "n_agents" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_init_refuses_an_unknown_controller(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    assert main(["init", "--scenario", str(path), "--controller", "Bogus"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: controller_arch: unknown value 'Bogus'"]
     assert not path.exists()
 
 
@@ -199,3 +208,43 @@ def test_compare_requires_a_shared_base(tmp_path, scenario_file, capsys):
 def test_compare_refuses_missing_run_dir(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "nope"), str(tmp_path / "nada")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def completed_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("completed")
+    main(["init", "--scenario", str(root / "scenario.json"), "--seed", "1"])
+    assert main(["run", "--scenario", str(root / "scenario.json"), "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:len(path.read_text()) // 2])
+
+
+def _edit(change):
+    def edit(path):
+        d = json.loads(path.read_text())
+        change(d)
+        path.write_text(json.dumps(d))
+    return edit
+
+
+@pytest.mark.parametrize("name,spoil,reason", [
+    ("manifest.json", _truncate, "JSONDecodeError"),
+    ("manifest.json", _edit(lambda d: d.pop("base_hash")), "base_hash"),
+    ("manifest.json", _edit(lambda d: d.clear()), "run_id"),
+    ("evaluation.json", _truncate, "JSONDecodeError"),
+    ("evaluation.json", _edit(lambda d: d["evaluation"]["per_phase"].pop("Normal")),
+     "KeyError: 'Normal'"),
+    ("evaluation.json", _edit(lambda d: d.pop("evaluation")), "KeyError: 'evaluation'")])
+def test_compare_refuses_a_malformed_run_dir(tmp_path, completed_run, capsys, name, spoil,
+                                              reason):
+    broken = tmp_path / "broken"
+    shutil.copytree(completed_run, broken)
+    spoil(broken / name)
+    assert main(["compare", str(completed_run), str(broken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"refused: run dir {broken} has a malformed or incomplete ")
+    assert reason in err and len(err.splitlines()) == 1

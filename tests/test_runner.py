@@ -247,3 +247,18 @@ def test_each_broadcast_is_decoded_at_most_once(monkeypatch):
     run_scenario(generate_default_scenario(seed=1))
     # one encode_memory per broadcast
     assert 0 < calls["decode_memory"] <= calls["encode_memory"]
+
+
+@pytest.mark.parametrize("controller", ["Decentralized", "MultiLeveled"])
+def test_the_local_reaction_starts_at_the_suspects_lowest_id_neighbor(controller):
+    """The controller co-located with the observer nearest the anomaly acts
+    first: the compromised agent's lowest-id neighbor in the initial
+    topology (at seed 1 that is not the lowest-id agent overall)."""
+    sim = Simulation(dataclasses.replace(generate_default_scenario(seed=1),
+                                         controller_arch=controller))
+    compromised = next(a.agent_id for a in sim.config.agents if a.is_compromised)
+    neighbors = sim.topology.neighbors(compromised)
+    assert min(neighbors) != min(set(sim.agents) - {compromised})
+    result = sim.run()
+    assert [(a.issuer, a.target) for a in result.actions if a.kind == "ExcludeLocal"] == \
+        [(min(neighbors), compromised)]
