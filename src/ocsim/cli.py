@@ -120,36 +120,43 @@ def cmd_sweep(args) -> int:
         print(f"violation: --level {args.level!r}: {exc}", file=sys.stderr)
         return 2
     controllers = _parse_list(args.controller) or [base.controller_arch]
-    out_root = _output_root(args.out)
-    os.makedirs(out_root, exist_ok=True)
-    summary = []
+    cells = []
+    violations = {}  # one line per bad value, however many cells share it
     for ob in observers:
         for lv in levels:
             for ct in controllers:
                 cell = copy.deepcopy(base)
                 cell.observer_arch, cell.info_level, cell.controller_arch = ob, lv, ct
-                cell_violations = model.validate_scenario(cell)
-                cell_id = f"{ob}-L{lv}-{ct}"
-                cell_dir = os.path.join(out_root, cell_id)
-                row = {"cell": cell_id, "observer": ob, "level": lv, "controller": ct}
-                try:
-                    if cell_violations:
-                        raise ValueError("; ".join(cell_violations))
-                    manifest = execute_run(cell, cell_dir, scenario_path=args.scenario,
-                                           tick_cap=args.tick_cap, run_id=cell_id)
-                    with open(os.path.join(cell_dir, "evaluation.json")) as f:
-                        ev = json.load(f)
-                    compromised = [a.agent_id for a in cell.agents if a.is_compromised]
-                    row["status"] = manifest["status"]
-                    row["detected"] = any(r["suspect"] in compromised for r in ev["reports"])
-                    for phase in met.PHASES:
-                        for m in met.METRICS:
-                            row[f"{phase}.{m}.out_fraction"] = \
-                                ev["evaluation"]["per_phase"][phase][m]["out_fraction"]
-                except Exception as exc:
-                    row["status"] = f"failed: {exc}"
-                    row["detected"] = ""
-                summary.append(row)
+                violations.update(dict.fromkeys(model.validate_scenario(cell)))
+                cells.append(cell)
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    if violations:
+        return 2
+    out_root = _output_root(args.out)
+    os.makedirs(out_root, exist_ok=True)
+    summary = []
+    for cell in cells:
+        ob, lv, ct = cell.observer_arch, cell.info_level, cell.controller_arch
+        cell_id = f"{ob}-L{lv}-{ct}"
+        cell_dir = os.path.join(out_root, cell_id)
+        row = {"cell": cell_id, "observer": ob, "level": lv, "controller": ct}
+        try:
+            manifest = execute_run(cell, cell_dir, scenario_path=args.scenario,
+                                   tick_cap=args.tick_cap, run_id=cell_id)
+            with open(os.path.join(cell_dir, "evaluation.json")) as f:
+                ev = json.load(f)
+            compromised = [a.agent_id for a in cell.agents if a.is_compromised]
+            row["status"] = manifest["status"]
+            row["detected"] = any(r["suspect"] in compromised for r in ev["reports"])
+            for phase in met.PHASES:
+                for m in met.METRICS:
+                    row[f"{phase}.{m}.out_fraction"] = \
+                        ev["evaluation"]["per_phase"][phase][m]["out_fraction"]
+        except Exception as exc:
+            row["status"] = f"failed: {exc}"
+            row["detected"] = ""
+        summary.append(row)
     columns = ["cell", "observer", "level", "controller", "status", "detected"]
     columns += [f"{p}.{m}.out_fraction" for p in met.PHASES for m in met.METRICS]
     summary_path = os.path.join(out_root, "summary.csv")

@@ -15,15 +15,25 @@ only choose which agents an observer watches and label its reports.
 The learning detectors are split into a train step over the normal-operation
 window and a score step over new observations. Training is a fold too: a
 `TrainedObserver` folds each interval before the incident into its running
-state as the interval finishes (per sender, its own reported values, or its
-message counts and delay sums per interval), reading the events directly and
-retaining no window. At the first detection interval it finishes that state
-into frozen models; every later interval is only projected and scored.
+state as the interval finishes (per sender, how many delivered messages
+carried each of its reported values tuples, or its message counts and delay
+sums per interval), retaining no window. At the first detection interval it
+finishes that state into frozen models; every later interval is only scored.
+
+Both steps read the delivered events directly and project nothing. A
+broadcast hands one content object to each of its receivers, so the value
+detectors work per distinct content: training counts a broadcast once with
+its number of delivered copies, and the median and MAD are weighted walks
+over the distinct values. Scoring memoizes each distinct content's z-score
+and constraint distance, and walks the messages in delivery order, where
+the z streaks advance once per delivered message, only for senders with a
+content beyond a threshold. The functions over `Observation` lists
+(`train_statistical`, `score_statistical`, `detect_constraint`,
+`train_traffic`, `score_traffic`) feed the same folds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 
 # detector constants (fixed; unspecified upstream)
 Z_THRESHOLD = 5.0
@@ -71,7 +81,8 @@ class AnomalyReport:
 
 
 def _own_values(event_content: dict, sender: str):
-    entry = event_content.get("entries", {}).get(sender)
+    entries = event_content.get("entries")
+    entry = entries.get(sender) if entries else None
     if entry is None:
         return None
     return tuple(entry["values"])
@@ -133,51 +144,150 @@ def build_observations(trace_events, level, constraints_by_sender=None):
 
 # --- detectors ---
 
+def _broadcasts(events, watched):
+    """The watched senders' events grouped by broadcast, in order of first
+    delivery: [first message, delivered copies] per content object. A
+    broadcast hands one content object to all its receivers, so grouping
+    costs one identity lookup per copy; a content object that also arrives
+    from another sender or interval is grouped apart."""
+    groups = {}
+    for e in events:
+        msg = e.message
+        if msg.sender not in watched:
+            continue
+        key = id(msg.content)
+        group = groups.get(key)
+        if group is not None and (group[0].sender != msg.sender
+                                  or group[0].interval != msg.interval):
+            key = (key, msg.sender, msg.interval)
+            group = groups.get(key)
+        if group is None:
+            groups[key] = [msg, 1]
+        else:
+            group[1] += 1
+    return groups.values()
+
+
+class ValueScores:
+    """Scoring state of a statistical part (level 3+) over one detection
+    window. Per distinct (sender, values tuple), memoized: the largest robust
+    z over the slots against a `ValueFold.finish` model (Iglewicz & Hoaglin's
+    robust z-score) and, given the sender's feasible schedules (level 4), the
+    distance to the nearest one. `crossing` holds the senders with a score
+    beyond a threshold: no other sender can be reported."""
+    __slots__ = ("model", "schedules_of", "scores", "crossing")
+
+    def __init__(self, model, constraints_by_sender=None):
+        self.model = model
+        self.schedules_of = {}  # sender -> (feasible schedules, the same as a set)
+        for sender, constraints in (constraints_by_sender or {}).items():
+            schedules = _schedules(constraints)
+            if schedules:
+                self.schedules_of[sender] = (schedules, frozenset(schedules))
+        self.scores = {}  # (sender, values) -> (z_max, distance or None)
+        self.crossing = set()
+
+    def score(self, sender, values):
+        key = (sender, values)
+        scores = self.scores.get(key)
+        if scores is None:
+            z_max = 0.0
+            for t, v in enumerate(values):
+                stats = self.model.get((sender, t))
+                if stats is not None:
+                    z_max = max(z_max, abs(v - stats[0]) / stats[1])
+            dist = None
+            feasible = self.schedules_of.get(sender)
+            if feasible is not None:
+                schedules, schedule_set = feasible
+                # a feasible schedule itself is at distance 0, which no report shows
+                dist = 0.0 if values in schedule_set else min(
+                    max(abs(a - b) for a, b in zip(values, sched)) for sched in schedules)
+            scores = self.scores[key] = (z_max, dist)
+            if z_max > Z_THRESHOLD or (dist is not None and dist > CONSTRAINT_EPSILON):
+                self.crossing.add(sender)
+        return scores
+
+    def reports(self, rows) -> list:
+        """Reports over `rows`, one (sender, interval, own values tuple or
+        None) per delivered message in delivery order. A sender is flagged
+        robust_z after Z_CONSECUTIVE consecutive messages with any slot above
+        Z_THRESHOLD, and constraint at its first message farther than
+        CONSTRAINT_EPSILON from every feasible schedule."""
+        streak, z_reports, d_reports = {}, {}, {}
+        for sender, interval, values in rows:
+            if values is None:
+                continue
+            z_max, dist = self.score(sender, values)
+            if z_max > Z_THRESHOLD:
+                streak[sender] = streak.get(sender, 0) + 1
+                if streak[sender] >= Z_CONSECUTIVE and sender not in z_reports:
+                    z_reports[sender] = AnomalyReport(
+                        suspect=sender, first_flagged_interval=interval,
+                        score=z_max, detector="robust_z")
+            else:
+                streak[sender] = 0
+            if dist is not None and dist > CONSTRAINT_EPSILON and sender not in d_reports:
+                d_reports[sender] = AnomalyReport(
+                    suspect=sender, first_flagged_interval=interval,
+                    score=dist, detector="constraint")
+        return list(z_reports.values()) + list(d_reports.values())
+
+    def window_reports(self, events, watched) -> list:
+        """Reports over a window of delivered events: each broadcast is
+        scored once, and only when some sender crosses a threshold are its
+        messages walked in delivery order."""
+        for msg, _ in _broadcasts(events, watched):
+            values = _own_values(msg.content, msg.sender)
+            if values is not None:
+                self.score(msg.sender, values)
+        crossing = self.crossing
+        if not crossing:
+            return []
+        return self.reports((msg.sender, msg.interval, _own_values(msg.content, msg.sender))
+                            for msg in (e.message for e in events) if msg.sender in crossing)
+
+
+def _observed_rows(observations):
+    return ((o.sender, o.interval, o.content_values) for o in observations)
+
+
 def detect_constraint(observations) -> list:
     """Level 4: flag senders whose reported values match no feasible schedule
-    within the per-slot tolerance. A broadcast reaches several receivers, so
-    each distinct (values, constraints) pair is measured once."""
-    reports = {}
-    distances = {}
-    for obs in observations:
-        if obs.content_values is None or obs.unit_constraints is None \
-                or obs.sender in reports:
-            continue
-        key = (obs.content_values, obs.unit_constraints)
-        dist = distances.get(key)
-        if dist is None:
-            dist = distances[key] = min(
-                max(abs(a - b) for a, b in zip(obs.content_values, sched))
-                for sched in obs.unit_constraints)
-        if dist > CONSTRAINT_EPSILON:
-            reports[obs.sender] = AnomalyReport(
-                suspect=obs.sender, first_flagged_interval=obs.interval,
-                score=dist, detector="constraint")
-    return list(reports.values())
+    within the per-slot tolerance."""
+    constraints = {}
+    for o in observations:
+        if o.unit_constraints is not None:
+            constraints.setdefault(o.sender, o.unit_constraints)
+    return ValueScores({}, constraints).reports(_observed_rows(observations))
 
 
 class ValueFold:
     """Training state of a statistical part (level 3+): per watched sender,
-    its own reported values tuples in delivery order, and the intervals in
-    which any watched sender was seen. A sender reports the same number of
-    slots in every message."""
-    __slots__ = ("rows", "intervals")
+    how many delivered messages carried each of its own values tuples, and
+    the intervals in which any watched sender was seen. Each broadcast is
+    counted once, with its number of delivered copies."""
+    __slots__ = ("counts", "intervals")
 
     def __init__(self):
-        self.rows = {}  # sender -> [values tuple, ...]
+        self.counts = {}  # sender -> {values tuple: [delivered messages]}
         self.intervals = set()
 
+    def add(self, sender, interval, values, copies=1):
+        self.intervals.add(interval)
+        if values is not None:
+            counts = self.counts.get(sender)
+            if counts is None:
+                counts = self.counts[sender] = {}
+            cell = counts.get(values)  # a list, so that adding hashes the tuple once
+            if cell is None:
+                counts[values] = [copies]
+            else:
+                cell[0] += copies
+
     def fold(self, events, watched):
-        rows, intervals = self.rows, self.intervals
-        for e in events:
-            msg = e.message
-            sender = msg.sender
-            if sender not in watched:
-                continue
-            intervals.add(msg.interval)
-            values = _own_values(msg.content, sender)
-            if values is not None:
-                rows.setdefault(sender, []).append(values)
+        for msg, copies in _broadcasts(events, watched):
+            self.add(msg.sender, msg.interval, _own_values(msg.content, msg.sender), copies)
 
     def finish(self):
         """Per sender and slot, robust location/spread (median, MAD)."""
@@ -186,17 +296,38 @@ class ValueFold:
                 f"need >= {MIN_TRAINING_INTERVALS} training intervals, "
                 f"got {len(self.intervals)}")
         model = {}
-        for sender, tuples in self.rows.items():
-            for t, vs in enumerate(zip(*tuples)):
-                med = median(vs)
-                mad = median(abs(v - med) for v in vs)
+        for sender, counts in self.counts.items():
+            for t in range(min(map(len, counts))):
+                column = {}
+                for values, (n,) in counts.items():
+                    column[values[t]] = column.get(values[t], 0) + n
+                med = _counted_median(column)
+                deviations = {}
+                for v, n in column.items():
+                    d = abs(v - med)
+                    deviations[d] = deviations.get(d, 0) + n
+                mad = _counted_median(deviations)
                 # Units that legitimately swing across a wide operating range
                 # during training (e.g. storage rebalancing) get a
                 # proportionally wide tolerance; half the observed range
                 # bounds normal excursions even when the MAD degenerates to 0.
-                half_range = 0.5 * (max(vs) - min(vs))
+                half_range = 0.5 * (max(column) - min(column))
                 model[(sender, t)] = (med, max(1.4826 * mad, half_range, Z_SPREAD_FLOOR))
         return model
+
+
+def _counted_median(counts):
+    """The median of the values that `counts` maps to their multiplicities:
+    in value, `statistics.median` of the expanded list."""
+    n = sum(counts.values())
+    ordered = sorted(counts)
+    below = 0
+    for i, v in enumerate(ordered):
+        below += counts[v]
+        if below > n // 2:  # v is at sorted position n // 2
+            if n % 2 or below - counts[v] < n // 2:
+                return v
+            return (ordered[i - 1] + v) / 2
 
 
 def train_statistical(observations):
@@ -204,9 +335,7 @@ def train_statistical(observations):
     normal-operation training window."""
     fold = ValueFold()
     for o in observations:
-        fold.intervals.add(o.interval)
-        if o.content_values is not None:
-            fold.rows.setdefault(o.sender, []).append(o.content_values)
+        fold.add(o.sender, o.interval, o.content_values)
     return fold.finish()
 
 
@@ -214,27 +343,7 @@ def score_statistical(observations, model) -> list:
     """Level 3+: robust z-score per slot against a `train_statistical` model;
     a sender is flagged after Z_CONSECUTIVE consecutive messages with any slot
     above Z_THRESHOLD."""
-    streak = {}
-    reports = {}
-    for obs in observations:
-        if obs.content_values is None:
-            continue
-        z_max = 0.0
-        for t, v in enumerate(obs.content_values):
-            stats = model.get((obs.sender, t))
-            if stats is None:
-                continue
-            med, spread = stats
-            z_max = max(z_max, abs(v - med) / spread)
-        if z_max > Z_THRESHOLD:
-            streak[obs.sender] = streak.get(obs.sender, 0) + 1
-            if streak[obs.sender] >= Z_CONSECUTIVE and obs.sender not in reports:
-                reports[obs.sender] = AnomalyReport(
-                    suspect=obs.sender, first_flagged_interval=obs.interval,
-                    score=z_max, detector="robust_z")
-        else:
-            streak[obs.sender] = 0
-    return list(reports.values())
+    return ValueScores(model).reports(_observed_rows(observations))
 
 
 def detect_statistical(observations, training) -> list:
@@ -242,21 +351,11 @@ def detect_statistical(observations, training) -> list:
     return score_statistical(observations, train_statistical(training))
 
 
-def _traffic_profile(observations):
-    """Per sender: per-interval message counts and mean delays."""
-    counts, delays = {}, {}
-    for o in observations:
-        counts.setdefault(o.sender, {}).setdefault(o.interval, 0)
-        counts[o.sender][o.interval] += 1
-        if o.delay_ticks is not None:
-            delays.setdefault((o.sender, o.interval), []).append(o.delay_ticks)
-    return counts, delays
-
-
 class TrafficFold:
-    """Training state of a traffic part (levels 1-2): per watched (sender,
-    interval), the message count and the sum of the integer delivery delays.
-    `fold` reads the delays only with `delays` set (level 2)."""
+    """Message counts and integer delivery-delay sums per watched (sender,
+    interval): the training state of a traffic part (levels 1-2), and the
+    window it scores. `fold` reads the delays only with `delays` set
+    (level 2)."""
     __slots__ = ("delays", "counts", "delay_sums")
 
     def __init__(self, delays):
@@ -290,10 +389,40 @@ class TrafficFold:
                 delay_bounds[sender] = (min(means[sender]), max(means[sender]))
         return rate_bounds, delay_bounds
 
+    def score(self, bounds) -> list:
+        """Levels 1-2: flag senders whose per-interval message rate or mean
+        delay grossly deviates from `finish` bounds. Content is never
+        consulted."""
+        rate_bounds, delay_bounds = bounds
+        intervals_of = {}
+        for sender, interval in self.counts:
+            intervals_of.setdefault(sender, []).append(interval)
+        reports = {}
 
-def train_traffic(observations):
-    """Per sender, the range of per-interval message rates and of per-interval
-    mean delays over a normal-operation training window."""
+        def flag(sender, interval, score):
+            if sender not in reports:
+                reports[sender] = AnomalyReport(suspect=sender, first_flagged_interval=interval,
+                                                score=score, detector="traffic")
+
+        for sender, intervals in intervals_of.items():
+            lo_hi = rate_bounds.get(sender)
+            for interval in sorted(intervals):
+                rate = self.counts[sender, interval]
+                if lo_hi is None:
+                    flag(sender, interval, float(rate))  # unknown sender appearing
+                    continue
+                if rate > RATE_FACTOR * lo_hi[1] + RATE_SLACK:
+                    flag(sender, interval, float(rate))
+                total = self.delay_sums.get((sender, interval))
+                if total is not None and sender in delay_bounds:
+                    mean_d = total / rate
+                    dlo, dhi = delay_bounds[sender]
+                    if not (dlo - DELAY_SLACK <= mean_d <= dhi + DELAY_SLACK):
+                        flag(sender, interval, mean_d)
+        return list(reports.values())
+
+
+def _traffic_fold(observations):
     fold = TrafficFold(delays=True)  # an observation carries a delay from level 2 on
     counts, sums = fold.counts, fold.delay_sums
     for o in observations:
@@ -301,37 +430,19 @@ def train_traffic(observations):
         counts[key] = counts.get(key, 0) + 1
         if o.delay_ticks is not None:
             sums[key] = sums.get(key, 0) + o.delay_ticks
-    return fold.finish()
+    return fold
+
+
+def train_traffic(observations):
+    """Per sender, the range of per-interval message rates and of per-interval
+    mean delays over a normal-operation training window."""
+    return _traffic_fold(observations).finish()
 
 
 def score_traffic(observations, bounds) -> list:
     """Levels 1-2: flag senders whose per-interval message rate or mean delay
-    grossly deviates from `train_traffic` bounds. Content is never consulted."""
-    rate_bounds, delay_bounds = bounds
-    obs_counts, obs_delays = _traffic_profile(observations)
-    reports = {}
-
-    def flag(sender, interval, score):
-        if sender not in reports:
-            reports[sender] = AnomalyReport(suspect=sender, first_flagged_interval=interval,
-                                            score=score, detector="traffic")
-
-    for sender, per_int in obs_counts.items():
-        lo_hi = rate_bounds.get(sender)
-        for interval in sorted(per_int):
-            rate = per_int[interval]
-            if lo_hi is None:
-                flag(sender, interval, float(rate))  # unknown sender appearing
-                continue
-            if rate > RATE_FACTOR * lo_hi[1] + RATE_SLACK:
-                flag(sender, interval, float(rate))
-            d = obs_delays.get((sender, interval))
-            if d and sender in delay_bounds:
-                mean_d = sum(d) / len(d)
-                dlo, dhi = delay_bounds[sender]
-                if not (dlo - DELAY_SLACK <= mean_d <= dhi + DELAY_SLACK):
-                    flag(sender, interval, mean_d)
-    return list(reports.values())
+    grossly deviates from `train_traffic` bounds."""
+    return _traffic_fold(observations).score(bounds)
 
 
 def detect_traffic(observations, training) -> list:
@@ -385,10 +496,6 @@ def dedup_reports(reports) -> list:
     return [best[s] for s in sorted(best)]
 
 
-def _watched(events, scope_of):
-    return [e for e in events if e.message.sender in scope_of]
-
-
 class TrainedObserver:
     """One observer architecture trained on its normal-operation window.
 
@@ -398,10 +505,15 @@ class TrainedObserver:
     is built without events; `fold` adds each normal-operation interval's
     delivered events to the parts' training state as the interval finishes,
     and `finish` turns that state into the models once, at the first
-    detection interval. No window is kept and nothing is projected for
-    training; `detect` only projects and scores new events. MultiLeveled is
-    a centralized traffic part without message content (level 2) plus a
-    decentralized content/constraint part (level 4); its `level` is not used.
+    detection interval. No window is kept, and nothing is projected: both
+    steps read the delivered events directly. A value part (level 3+) works
+    per broadcast, not per delivered copy: training counts how many copies
+    carried each values tuple, and `detect` scores each distinct content
+    once, then walks the messages in delivery order (streaks advance per
+    message) only for senders with a content beyond a threshold. A traffic
+    part counts every copy. MultiLeveled is a centralized traffic part
+    without message content (level 2) plus a decentralized
+    content/constraint part (level 4); its `level` is not used.
     """
 
     def __init__(self, arch, level, agent_ids, unit_types, seed):
@@ -427,14 +539,13 @@ class TrainedObserver:
     def detect(self, detection_events, constraints_by_sender=None) -> list:
         reports = []
         for level, scope_of, model in self.parts:
-            observations = build_observations(_watched(detection_events, scope_of), level,
-                                              constraints_by_sender)
             if level <= 2:
-                found = score_traffic(observations, model)
+                window = TrafficFold(delays=level == 2)
+                window.fold(detection_events, scope_of)
+                found = window.score(model)
             else:
-                found = score_statistical(observations, model)
-                if level >= 4:
-                    found += detect_constraint(observations)
+                scores = ValueScores(model, constraints_by_sender if level >= 4 else None)
+                found = scores.window_reports(detection_events, scope_of)
             for r in found:
                 r.scope = scope_of[r.suspect]
             reports.extend(found)

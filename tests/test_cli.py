@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from ocsim import model
+from ocsim import cli, model
 from ocsim.cli import main
 
 
@@ -150,6 +150,21 @@ def test_sweep_refuses_a_level_that_is_not_an_integer(tmp_path, scenario_file, c
                  "--level", "1,x"]) == 2
     assert "--level '1,x'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags,violations", [
+    (["--controller", "Bogus"], ["controller_arch: unknown value 'Bogus'"]),
+    (["--observer", "Decentralized,Panopticon", "--level", "0,4,9",
+      "--controller", "Centralized,Nope"],
+     ["info_level: must be in 1..4, got 0", "controller_arch: unknown value 'Nope'",
+      "info_level: must be in 1..4, got 9", "observer_arch: unknown value 'Panopticon'"])])
+def test_sweep_refuses_a_bad_axis_value_before_any_cell_runs(tmp_path, scenario_file, capsys,
+                                                              monkeypatch, flags, violations):
+    monkeypatch.setattr(cli, "execute_run", lambda *a, **k: pytest.fail("a cell ran"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.splitlines() == [f"violation: {v}" for v in violations]
+    assert not out.exists()
 
 
 def test_seed_override_changes_the_run(tmp_path, scenario_file):

@@ -171,31 +171,44 @@ _value = st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.1, 1 / 3]) | st.floats(-10, 10
 
 
 @st.composite
-def _window(draw):
-    """Delivered events of a normal-operation window, one list per interval:
-    own entries, other agents' entries only, no entries at all, and senders
-    outside every scope."""
-    slots = draw(st.integers(1, 3))
+def _window(draw, slots=None, first_interval=0, min_intervals=3, value=_value, max_rows=6):
+    """Delivered events of a window, one list per interval. Each row is one
+    broadcast: one content object delivered to 1-3 receivers, its copies
+    interleaved with the other broadcasts' by delivery tick. A content holds
+    the sender's own entry, only another agent's, both (then that agent may
+    send the same object too), or no entries; senders outside every scope
+    appear as well."""
+    slots = slots or draw(st.integers(1, 3))
+    values = st.tuples(*[value] * slots)
     row = st.tuples(st.sampled_from(_AGENTS + ["central"]),
-                    st.sampled_from(["own", "other", "none"]),
-                    st.tuples(*[_value] * slots), st.integers(0, 4))
+                    st.sampled_from(["own", "other", "both", "none"]), values, values,
+                    st.lists(st.integers(0, 4), min_size=1, max_size=3), st.booleans())
     window, tick = [], 0
-    intervals = draw(st.lists(st.lists(row, min_size=1, max_size=6), min_size=3, max_size=8))
-    for interval, rows in enumerate(intervals):
-        events = []
-        for sender, entries, values, delay in rows:
+    intervals = draw(st.lists(st.lists(row, min_size=1, max_size=max_rows),
+                              min_size=min_intervals, max_size=8))
+    for interval, rows in enumerate(intervals, start=first_interval):
+        messages = []
+        for sender, entries, own, others, delays, echo in rows:
+            other = "a01" if sender == "a00" else "a00"
+            senders = [sender] * len(delays)
             if entries == "none":
                 kind, content = "BlacklistNotice", {"suspect": sender}
             else:
-                owner = sender if entries == "own" else ("a01" if sender == "a00" else "a00")
-                kind = "WorkingMemoryUpdate"
-                content = {"entries": {owner: {"values": values, "revision": 0}}}
-            msg = Message(msg_id=tick, sender=sender, receiver="a01", sent_tick=tick,
-                          delivered_tick=tick + delay, kind=kind, content=content,
-                          interval=interval)
-            events.append(TraceEvent(message=msg, delivered=True))
-            tick += 1
-        window.append(events)
+                kind, held = "WorkingMemoryUpdate", {}
+                if entries != "other":
+                    held[sender] = {"values": own, "revision": 0}
+                if entries != "own":
+                    held[other] = {"values": others, "revision": 0}
+                    if entries == "both" and echo:
+                        senders.append(other)
+                content = {"entries": held}
+            for copy_sender, delay in zip(senders, delays + [1]):
+                messages.append(Message(msg_id=tick, sender=copy_sender, receiver="a01",
+                                        sent_tick=tick, delivered_tick=tick + delay,
+                                        kind=kind, content=content, interval=interval))
+                tick += 1
+        messages.sort(key=lambda m: (m.delivered_tick, m.msg_id))
+        window.append([TraceEvent(message=m, delivered=True) for m in messages])
     return window
 
 
@@ -223,6 +236,174 @@ def test_folding_interval_by_interval_trains_the_batch_models(window, arch, leve
         return
     observer.finish()
     assert repr([model for _, _, model in observer.parts]) == repr(batch)
+
+
+# --- counted training and event-based scoring against the list-based path ---
+
+def _own(msg):
+    entry = msg.content.get("entries", {}).get(msg.sender)
+    return None if entry is None else tuple(entry["values"])
+
+
+def _reference_model(window, watched):
+    """The list-based training the counted fold replaces: one values tuple
+    per delivered copy, `statistics.median` and a generator MAD."""
+    rows, intervals = {}, set()
+    for events in window:
+        for e in events:
+            if e.message.sender in watched:
+                intervals.add(e.message.interval)
+                values = _own(e.message)
+                if values is not None:
+                    rows.setdefault(e.message.sender, []).append(values)
+    if len(intervals) < obs.MIN_TRAINING_INTERVALS:
+        raise obs.InsufficientTrainingError(len(intervals))
+    model = {}
+    for sender, tuples in rows.items():
+        for t, vs in enumerate(zip(*tuples)):
+            med = median(vs)
+            mad = median(abs(v - med) for v in vs)
+            half_range = 0.5 * (max(vs) - min(vs))
+            model[(sender, t)] = (med, max(1.4826 * mad, half_range, obs.Z_SPREAD_FLOOR))
+    return model, rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_counted_finish_matches_the_list_based_median_mad(data):
+    """Counting each broadcast once, with its number of delivered copies,
+    finishes the model the per-copy lists give: equal locations, and spreads
+    and z-scores down to their repr."""
+    window = data.draw(_window(min_intervals=4))
+    watched = dict.fromkeys(_AGENTS)
+    fold = obs.ValueFold()
+    for events in window:
+        fold.fold(events, watched)
+    try:
+        expected, rows = _reference_model(window, watched)
+    except obs.InsufficientTrainingError:
+        with pytest.raises(obs.InsufficientTrainingError):
+            fold.finish()
+        return
+    got = fold.finish()
+    assert list(got) == list(expected)
+    for (sender, t), (med, spread) in expected.items():
+        got_med, got_spread = got[sender, t]
+        assert got_med == med and repr(got_spread) == repr(spread)
+        for v in [values[t] for values in rows[sender]] + [0.0, -0.0, 7, 123.456]:
+            assert repr(abs(v - got_med) / got_spread) == repr(abs(v - med) / spread)
+
+
+def _reference_statistical(observations, model):
+    streak, reports = {}, {}
+    for o in observations:
+        if o.content_values is None:
+            continue
+        z_max = 0.0
+        for t, v in enumerate(o.content_values):
+            stats = model.get((o.sender, t))
+            if stats is not None:
+                z_max = max(z_max, abs(v - stats[0]) / stats[1])
+        if z_max > obs.Z_THRESHOLD:
+            streak[o.sender] = streak.get(o.sender, 0) + 1
+            if streak[o.sender] >= obs.Z_CONSECUTIVE and o.sender not in reports:
+                reports[o.sender] = obs.AnomalyReport(o.sender, o.interval, z_max, "robust_z")
+        else:
+            streak[o.sender] = 0
+    return list(reports.values())
+
+
+def _reference_constraint(observations):
+    reports = {}
+    for o in observations:
+        if o.content_values is None or o.unit_constraints is None or o.sender in reports:
+            continue
+        dist = min(max(abs(a - b) for a, b in zip(o.content_values, sched))
+                   for sched in o.unit_constraints)
+        if dist > obs.CONSTRAINT_EPSILON:
+            reports[o.sender] = obs.AnomalyReport(o.sender, o.interval, dist, "constraint")
+    return list(reports.values())
+
+
+def _reference_traffic(observations, bounds):
+    rate_bounds, delay_bounds = bounds
+    counts, delays, reports = {}, {}, {}
+    for o in observations:
+        per_interval = counts.setdefault(o.sender, {})
+        per_interval[o.interval] = per_interval.get(o.interval, 0) + 1
+        if o.delay_ticks is not None:
+            delays.setdefault((o.sender, o.interval), []).append(o.delay_ticks)
+    for sender, per_interval in counts.items():
+        for interval in sorted(per_interval):
+            rate, flags = per_interval[interval], []
+            lo_hi = rate_bounds.get(sender)
+            if lo_hi is None or rate > obs.RATE_FACTOR * lo_hi[1] + obs.RATE_SLACK:
+                flags.append(float(rate))
+            d = delays.get((sender, interval))
+            if lo_hi is not None and d and sender in delay_bounds:
+                mean_d = sum(d) / len(d)
+                dlo, dhi = delay_bounds[sender]
+                if not dlo - obs.DELAY_SLACK <= mean_d <= dhi + obs.DELAY_SLACK:
+                    flags.append(mean_d)
+            if flags and sender not in reports:
+                reports[sender] = obs.AnomalyReport(sender, interval, flags[0], "traffic")
+    return list(reports.values())
+
+
+def _reference_detect(observer, events, constraints_by_sender):
+    """The Observation path: project each watched delivered copy, then score
+    the observations one by one."""
+    reports = []
+    for level, scope_of, model in observer.parts:
+        observations = obs.build_observations(
+            [e for e in events if e.message.sender in scope_of], level, constraints_by_sender)
+        if level <= 2:
+            found = _reference_traffic(observations, model)
+        else:
+            found = _reference_statistical(observations, model)
+            if level >= 4:
+                found += _reference_constraint(observations)
+        for r in found:
+            r.scope = scope_of[r.suspect]
+        reports.extend(found)
+    return obs.dedup_reports(reports)
+
+
+# training on a few nearby values keeps the spreads tight, so detection
+# values cross the z threshold often; schedules share the training values,
+# so some detection values are feasible
+_steady_value = st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.5])
+_schedule_value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-10, 10)
+
+
+@given(st.data(), st.sampled_from(["Centralized", "Decentralized", "GroupedByType",
+                                   "GroupedRandom", "MultiLeveled"]), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_event_based_detect_matches_the_observation_path(data, arch, level):
+    """`detect` scores each broadcast once but reports what projecting and
+    scoring every delivered copy reports: suspect, interval, score repr,
+    detector and scope."""
+    slots = data.draw(st.integers(1, 3))
+    training = data.draw(_window(slots, min_intervals=obs.MIN_TRAINING_INTERVALS,
+                                 value=_steady_value))
+    detection = data.draw(_window(slots, first_interval=20, min_intervals=1,
+                                  value=_steady_value | _value, max_rows=12))
+    schedules = st.lists(st.tuples(*[_schedule_value] * slots), min_size=1, max_size=3)
+    constraints = data.draw(st.none() | st.fixed_dictionaries({a: schedules for a in _AGENTS}))
+    observer = obs.TrainedObserver(arch, level, _AGENTS, _TYPES, seed=1)
+    for events in training:
+        observer.fold(events)
+    try:
+        observer.finish()
+    except obs.InsufficientTrainingError:
+        return
+    events = [e for interval in detection for e in interval]
+    got, expected = (
+        [(r.suspect, r.first_flagged_interval, repr(r.score), r.detector, r.scope.describe())
+         for r in reports]
+        for reports in (observer.detect(events, constraints),
+                        _reference_detect(observer, events, constraints)))
+    assert got == expected
 
 
 # --- level blindness ---

@@ -5,7 +5,7 @@ import pytest
 
 from ocsim import negotiation as neg
 from ocsim import observer as obs
-from ocsim.kernel import NonConvergenceError
+from ocsim.kernel import Message, NonConvergenceError, TraceEvent
 from ocsim.metrics import classify_phase
 from ocsim.model import generate_default_scenario
 from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, run_scenario
@@ -111,7 +111,7 @@ def test_the_observer_trains_once_per_part(monkeypatch):
     finish = obs.ValueFold.finish
 
     def counting(fold):
-        trained.append(set(fold.rows))
+        trained.append(set(fold.counts))
         return finish(fold)
 
     monkeypatch.setattr(obs.ValueFold, "finish", counting)
@@ -121,39 +121,63 @@ def test_the_observer_trains_once_per_part(monkeypatch):
     assert len(cfg.agents) == 8
 
 
+def _holds_an_event(root):
+    """Whether a TraceEvent or Message is reachable from `root` through
+    containers and the attributes of ocsim objects."""
+    seen, todo = set(), [root]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, (TraceEvent, Message)):
+            return True
+        if isinstance(o, dict):
+            todo.extend(o.keys())
+            todo.extend(o.values())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            todo.extend(o)
+        elif type(o).__module__.startswith("ocsim."):
+            todo.extend(getattr(o, "__dict__", {}).values())
+            todo.extend(getattr(o, name) for name in getattr(type(o), "__slots__", ())
+                        if hasattr(o, name))
+    return False
+
+
 @pytest.mark.parametrize("observer_arch,info_level", [("Centralized", 3), ("Centralized", 2),
                                                       ("MultiLeveled", 4)])
-def test_the_incident_interval_projects_only_its_own_events(monkeypatch, observer_arch,
-                                                            info_level):
-    """Training folds each interval as it finishes, so the first detection
-    interval projects its own delivered events, once per observer part, and
-    not the training window again."""
+def test_the_incident_interval_reads_only_its_own_events(monkeypatch, observer_arch,
+                                                         info_level):
+    """Training folds each interval as it finishes and keeps no event, so the
+    first detection interval reads its own delivered events and not the
+    training window again."""
     cfg = _untampered(observer_arch, info_level)
-    projected = []
-    project = obs.project
-
-    def counting(event, *args, **kwargs):
-        projected.append(event)
-        return project(event, *args, **kwargs)
-
-    monkeypatch.setattr(obs, "project", counting)
+    read = []  # (method, events it was handed)
+    for name in ("fold", "detect"):
+        def reading(self, events, *args, _name=name, _method=getattr(obs.TrainedObserver, name)):
+            read.append((_name, list(events)))
+            return _method(self, events, *args)
+        monkeypatch.setattr(obs.TrainedObserver, name, reading)
     sim = Simulation(cfg)
     observe = sim._observe
-    seen = {}
+    delivered = []
+    held = []
 
     def observing(interval, events):
-        before = len(projected)
-        observe(interval, events)
+        delivered.append([e for e in events if e.delivered])
         if interval == cfg.incident_interval:
-            seen["projected"] = projected[before:]
-            seen["delivered"] = [e for e in events if e.delivered]
+            held.append(_holds_an_event(sim._observer))
+        observe(interval, events)
 
     sim._observe = observing
     sim.run()
-    parts = 2 if observer_arch == "MultiLeveled" else 1
-    expected = seen["delivered"] * parts
-    assert expected and len(seen["projected"]) == len(expected)
-    assert all(p is e for p, e in zip(seen["projected"], expected))
+    incident = cfg.incident_interval
+    assert [name for name, _ in read] == ["fold"] * incident + ["detect"] * (
+        cfg.num_intervals - incident)
+    for interval, (_, events) in enumerate(read):
+        assert events and len(events) == len(delivered[interval])
+        assert all(a is b for a, b in zip(events, delivered[interval]))
+    assert held == [False]  # the folded training window left no event behind
 
 
 @pytest.mark.parametrize("observer_arch", ["Decentralized", "MultiLeveled"])
