@@ -17,7 +17,7 @@ import sys
 from . import metrics as met
 from . import model
 from .controller import action_record
-from .kernel import export_trace_jsonl
+from .kernel import DEFAULT_TICK_CAP, export_trace_jsonl
 from .observer import report_record
 from .plots import emit_plots
 from .runner import run_scenario
@@ -39,7 +39,7 @@ def _output_root(args_out):
     return os.environ.get("OCSIM_OUTPUT_ROOT", "runs")
 
 
-def execute_run(config, out_dir, scenario_path="", tick_cap=None, run_id=None) -> dict:
+def execute_run(config, out_dir, scenario_path="", tick_cap=DEFAULT_TICK_CAP, run_id=None):
     """Run a validated scenario and write the five run artifacts: trace,
     records CSV, evaluation JSON, plots directory, manifest."""
     os.makedirs(out_dir, exist_ok=True)
@@ -48,10 +48,7 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=None, run_id=None) -
     manifest = {"run_id": run_id, "scenario_path": str(scenario_path),
                 "config_hash": full_hash, "base_hash": base_hash,
                 "output_dir": str(out_dir), "status": "running"}
-    kwargs = {}
-    if tick_cap:
-        kwargs["tick_cap"] = tick_cap
-    result = run_scenario(config, **kwargs)
+    result = run_scenario(config, tick_cap=tick_cap)
     export_trace_jsonl(result.trace, os.path.join(out_dir, "trace.jsonl"))
     met.export_csv(result.records, result.evaluation, os.path.join(out_dir, "records.csv"))
     extra = {
@@ -74,17 +71,20 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=None, run_id=None) -
 
 def _valid_scenario(args):
     """The scenario of `args.scenario` with `--seed` applied, or None after
-    printing on stderr one `violation:` line per reason it cannot run."""
+    printing on stderr one `violation:` line per reason it or `--tick-cap` cannot run."""
+    violations = []
+    if args.tick_cap < 1:
+        violations.append(f"--tick-cap {args.tick_cap}: must be >= 1")
     try:
         config = model.load_scenario(args.scenario)
     except model.ScenarioError as exc:
-        violations = exc.violations
+        violations += exc.violations
     except (OSError, ValueError, RecursionError) as exc:  # json nests by recursion
-        violations = [f"cannot load {args.scenario}: {exc}"]
+        violations.append(f"cannot load {args.scenario}: {exc}")
     else:
         if args.seed is not None:
             config.seed = args.seed
-        violations = model.validate_scenario(config)
+        violations += model.validate_scenario(config)
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
     return None if violations else config
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tick-cap", type=int, default=None)
+    p.add_argument("--tick-cap", type=int, default=DEFAULT_TICK_CAP)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run the observer x level x controller matrix")
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     p.add_argument("--level", default="")
     p.add_argument("--controller", default="")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tick-cap", type=int, default=None)
+    p.add_argument("--tick-cap", type=int, default=DEFAULT_TICK_CAP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="compare completed runs sharing a base scenario")

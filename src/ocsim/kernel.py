@@ -65,7 +65,6 @@ class Kernel:
         self.clock = 0
         self.current_interval = 0
         self.delay_min = delay_min
-        self.delay_max = delay_max
         # randint(delay_min, delay_max) is delay_min plus the first draw of
         # getrandbits(k) below the range width; the loop in send() repeats
         # that rejection sampling, so it yields exactly randint's values
@@ -77,7 +76,8 @@ class Kernel:
         self.trace = EventTrace()
         self._queue = []
         self._next_msg_id = 0
-        self._getrandbits = random.Random(f"ocsim-delay:{seed}").getrandbits
+        # a Random, which copy.deepcopy copies (it shares a bound getrandbits)
+        self._delays = random.Random(f"ocsim-delay:{seed}")
         self.tick_hook = None  # optional callable(kernel, tick), fires once per tick
 
     def register(self, agent_id, handler):
@@ -95,9 +95,9 @@ class Kernel:
         stays aligned across runs that differ only in control wiring."""
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        drawn = self._getrandbits(self._delay_bits)
+        drawn = self._delays.getrandbits(self._delay_bits)
         while drawn >= self._delay_width:
-            drawn = self._getrandbits(self._delay_bits)
+            drawn = self._delays.getrandbits(self._delay_bits)
         if delay is None:
             delay = self.delay_min + drawn
         # content is immutable once handed to send(): a compromised agent's

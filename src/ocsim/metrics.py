@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 PHASES = ("Normal", "Disruption", "ControlActive")
 METRICS = ("convergence_ticks", "solution_quality", "message_count")
@@ -142,13 +142,8 @@ def parse_csv(path):
     return records
 
 
-def margins_to_dict(margins: MarginSet) -> dict:
-    return {m: {"lower": margins.metric(m).lower, "upper": margins.metric(m).upper,
-                "target": margins.metric(m).target} for m in METRICS}
-
-
 def export_evaluation_json(evaluation, margins, path, extra=None) -> None:
-    doc = {"margins": margins_to_dict(margins), "evaluation": evaluation}
+    doc = {"margins": asdict(margins), "evaluation": evaluation}
     if extra:
         doc.update(extra)
     with open(path, "w") as f:

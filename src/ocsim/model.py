@@ -14,6 +14,8 @@ from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from .observer import MIN_TRAINING_INTERVALS
+
 UNIT_TYPES = ("Wind", "PV", "Battery", "Household")
 
 # Inverter/charger setpoints are quantized: units can only realize power
@@ -165,6 +167,9 @@ def validate_scenario(config: ScenarioConfig) -> list:
         else:
             v.append("incident_interval/control_interval: must satisfy "
                      "0 < incident < control < num_intervals")
+    if config.incident_interval < MIN_TRAINING_INTERVALS:  # the observer's training window
+        v.append(f"incident_interval: need >= {MIN_TRAINING_INTERVALS} "
+                 "training intervals before it")
     if config.observer_arch not in OBSERVER_ARCHS:
         v.append(f"observer_arch: unknown value {config.observer_arch!r}")
     if config.controller_arch not in CONTROLLER_ARCHS:
@@ -185,6 +190,9 @@ def validate_scenario(config: ScenarioConfig) -> list:
         v.append("topology_params.rewire_probability: must be in [0,1]")
 
     at = config.attack
+    if config.incident_interval != at.active_from_interval < config.num_intervals:
+        v.append("attack.active_from_interval: must be incident_interval, where the phases "
+                 "say the attack starts, or >= num_intervals for no attack")
     if at.mode not in ATTACK_MODES:
         v.append(f"attack.mode: unknown value {at.mode!r}")
     if at.mode == "Scale" and 0.99 <= at.scale_factor <= 1.01:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .model import quantize
+from .model import UnitModel, quantize
 
 
 def objective(aggregate, target) -> float:
@@ -117,6 +117,7 @@ class NegotiationAgent:
         self.agent_id = agent_id
         self.units = [unit]
         self.feasible = [tuple(s) for s in unit.feasible_schedules]
+        self.feasible_set = set(self.feasible)
         self.target = list(target)
         self.neighbors = set()
         self.topology_generation = 0
@@ -127,6 +128,10 @@ class NegotiationAgent:
         self.forms = {}  # the interval's decodes, shared by all agents (see decode_memory)
         # compromised agents only: callable(content, current_interval=...) -> wire view
         self.tamper = None
+        # the local controller's latency between hearing of a blacklist entry
+        # and applying it, and the suspects it has passed notices on about
+        self.react_lag = 0
+        self.noticed = set()
 
     # --- task reassignment ---
     def adopt_unit(self, unit):
@@ -145,6 +150,7 @@ class NegotiationAgent:
         for nxt in sets[1:]:
             feasible = [tuple(a + b for a, b in zip(s1, s2)) for s1 in feasible for s2 in nxt]
         self.feasible = feasible
+        self.feasible_set = set(feasible)
 
     # --- episode protocol ---
     def reset_for_interval(self, jitter_by_unit=None):
@@ -160,23 +166,31 @@ class NegotiationAgent:
         self._broadcast(kernel)
 
     def handle(self, kernel, msg):
-        """Fold one incoming update into the working memory. The response is
-        deferred to the end of the tick (see `respond`), so a whole round of
-        simultaneous arrivals is answered with a single broadcast."""
-        if msg.kind != "WorkingMemoryUpdate":
-            return
-        if msg.sender in self.blacklist:
-            return
-        # one broadcast reaches every neighbor with the same content object;
-        # receivers that drop the same agents share one read-only decode
-        key = (id(msg.content), frozenset(self.blacklist), tuple(self.target))
-        hit = self.forms.get(key)
-        if hit is None:
-            hit = self.forms[key] = (msg.content, decode_memory(
-                msg.content, drop=self.blacklist, target=self.target, forms=self.forms))
-        _, changed = merge_memories(self.memory, hit[1])
-        if changed:
-            self.dirty = True
+        """Answer one message from the bus. A working-memory update (the hot
+        path) is folded into the working memory; the response is deferred to
+        the end of the tick (see `respond`), so a whole round of simultaneous
+        arrivals is answered with a single broadcast."""
+        kind, content = msg.kind, msg.content
+        if kind == "WorkingMemoryUpdate":
+            if msg.sender in self.blacklist:
+                return
+            # one broadcast reaches every neighbor with the same content
+            # object; receivers that drop the same agents share one decode
+            key = (id(content), frozenset(self.blacklist))
+            hit = self.forms.get(key)
+            if hit is None:
+                hit = self.forms[key] = (content, decode_memory(
+                    content, drop=self.blacklist, target=self.target, forms=self.forms))
+            if merge_memories(self.memory, hit[1])[1]:
+                self.dirty = True
+        elif kind == "BlacklistNotice":
+            self._notice(kernel, msg.sender, content["suspect"])
+        elif kind == "TopologyPush":
+            self.adopt_topology(content["generation"],
+                                content["adjacency"].get(self.agent_id, []), content["excluded"])
+        elif kind == "TaskHandover":
+            self.adopt_unit(UnitModel(unit_id=content["unit_id"], unit_type=content["unit_type"],
+                                      feasible_schedules=[tuple(s) for s in content["schedules"]]))
 
     def respond(self, kernel):
         """Re-derive the best response after merges and broadcast the memory."""
@@ -186,6 +200,24 @@ class NegotiationAgent:
         self._broadcast(kernel)
 
     # --- controller hooks ---
+    def _notice(self, kernel, sender, suspect):
+        """Blacklist gossip at this agent's local controller: pass a first
+        notice on at once and send oneself a timer `react_lag` ticks later, a
+        latency only (nothing is checked meanwhile); when it fires, exclude."""
+        if suspect in self.blacklist:
+            return
+        if sender == self.agent_id:
+            self.exclude_local(suspect)
+            # what was merged may have been laundered through the suspect, so
+            # restart from the own entry: the churn decentralized mitigation costs
+            self.restart()
+        elif suspect not in self.noticed:
+            self.noticed.add(suspect)
+            for nb in sorted(self.neighbors - {suspect}):
+                kernel.send(self.agent_id, nb, "BlacklistNotice", {"suspect": suspect})
+            kernel.send(self.agent_id, self.agent_id, "BlacklistNotice", {"suspect": suspect},
+                        delay=self.react_lag)
+
     def exclude_local(self, suspect):
         """Drop a blacklisted agent from memory and the neighbor set."""
         if suspect in self.blacklist:
@@ -262,14 +294,8 @@ class NegotiationAgent:
         if candidate_better(cand, self.memory.best_candidate):
             self.memory.best_candidate = cand
         best_own = self.memory.best_candidate.assignment.get(self.agent_id)
-        if best_own is not None and tuple(best_own) in self._feasible_set():
+        if best_own is not None and tuple(best_own) in self.feasible_set:
             self._set_own(best_own)
-
-    def _feasible_set(self):
-        if getattr(self, "_feasible_cache_src", None) is not self.feasible:
-            self._feasible_cache = set(self.feasible)
-            self._feasible_cache_src = self.feasible
-        return self._feasible_cache
 
     def _broadcast(self, kernel):
         content = encode_memory(self.memory)
@@ -290,9 +316,10 @@ class NegotiationAgent:
 # that is never mutated, so every broadcast carrying it shares it (json writes
 # the tuple as a list). A candidate keeps the wire dict of its first encode in
 # `Candidate.wire`. Only decodes are memoized: `forms` belongs to the interval
-# (run_negotiation clears it) and maps
-#   (id(wire candidate dict), target) -> (wire, decoded Candidate),
-#   (id(content), blacklist, target) -> (content, decoded WorkingMemory).
+# (run_negotiation clears it), is shared by the agents of one run, which all
+# have the run's one target, and maps
+#   id(wire candidate dict) -> (wire, decoded Candidate),
+#   (id(content), blacklist) -> (content, decoded WorkingMemory).
 # Keys are identities, never values (0.0 == -0.0 and 1 == 1.0 hash alike but
 # serialize differently), and each value holds its key's object, so no id is
 # reused while the memo lives. Sent wire forms are never mutated.
@@ -323,9 +350,8 @@ def _decode_candidate(raw, drop, target, forms):
         return None
     # a candidate losing dropped agents is decoded anew for each blacklist
     shared = not any(aid in raw["assignment"] for aid in drop)
-    key = (id(raw), tuple(target))
-    if shared and key in forms:
-        return forms[key][1]
+    if shared and id(raw) in forms:
+        return forms[id(raw)][1]
     assignment = {aid: v for aid, v in raw["assignment"].items() if aid not in drop}
     if not assignment:
         return None
@@ -335,7 +361,7 @@ def _decode_candidate(raw, drop, target, forms):
     obj = objective(aggregate_of(assignment, len(target)), target)
     best = Candidate(assignment, obj, stamp=raw["stamp"])
     if shared:
-        forms[key] = (raw, best)
+        forms[id(raw)] = (raw, best)
         if repr(obj) == repr(raw["objective"]):
             # re-encodes to the incoming wire form; a wrong claim (or 0.0
             # for -0.0) gets a new one carrying the recomputed objective

@@ -64,7 +64,6 @@ class Observation:
 @dataclass(frozen=True)
 class ObserverScope:
     kind: str  # Centralized | Decentralized | GroupedByType | GroupedRandom
-    members: frozenset
     label: str = ""
 
     def describe(self):
@@ -118,8 +117,9 @@ def project(event, level: int, constraints=None) -> Observation:
     return obs
 
 
-def scope_filter(observations, scope: ObserverScope):
-    return [o for o in observations if o.sender in scope.members]
+def scope_filter(observations, watched):
+    """The observations whose sender is in `watched`, such as a `make_scopes` map."""
+    return [o for o in observations if o.sender in watched]
 
 
 def build_observations(trace_events, level, constraints_by_sender=None):
@@ -452,30 +452,24 @@ def detect_traffic(observations, training) -> list:
 
 # --- scope construction and architecture dispatch ---
 
-def make_scopes(arch: str, agent_ids, unit_types: dict, seed) -> list:
+def make_scopes(arch: str, agent_ids, unit_types: dict, seed) -> dict:
+    """{agent: the ObserverScope watching it}; agents in one scope share its object."""
     import random
     ids = sorted(agent_ids)
     if arch == "Centralized":
-        return [ObserverScope("Centralized", frozenset(ids))]
+        return dict.fromkeys(ids, ObserverScope("Centralized"))
     if arch == "Decentralized":
-        return [ObserverScope("Decentralized", frozenset([a]), label=a) for a in ids]
+        return {a: ObserverScope("Decentralized", a) for a in ids}
     if arch == "GroupedByType":
-        groups = {}
-        for a in ids:
-            groups.setdefault(unit_types[a], []).append(a)
-        return [ObserverScope("GroupedByType", frozenset(members), label=t)
-                for t, members in sorted(groups.items())]
+        by_type = {t: ObserverScope("GroupedByType", t) for t in map(unit_types.get, ids)}
+        return {a: by_type[unit_types[a]] for a in ids}
     if arch == "GroupedRandom":
         rng = random.Random(f"ocsim-groups:{seed}")
         shuffled = list(ids)
         rng.shuffle(shuffled)
         n_groups = max(2, len(ids) // 3)
-        scopes = []
-        for g in range(n_groups):
-            members = shuffled[g::n_groups]
-            if members:
-                scopes.append(ObserverScope("GroupedRandom", frozenset(members), label=f"g{g}"))
-        return scopes
+        groups = [ObserverScope("GroupedRandom", f"g{g}") for g in range(n_groups)]
+        return {a: groups[i % n_groups] for i, a in enumerate(shuffled)}
     raise ValueError(f"unknown observer architecture {arch!r}")
 
 
@@ -521,8 +515,7 @@ class TrainedObserver:
                  else [(level, arch)])
         self.parts = []  # (level, {agent: scope}, training fold, then model)
         for part_level, part_arch in parts:
-            scope_of = {a: scope for scope in make_scopes(part_arch, agent_ids, unit_types, seed)
-                        for a in scope.members}
+            scope_of = make_scopes(part_arch, agent_ids, unit_types, seed)
             fold = TrafficFold(delays=part_level == 2) if part_level <= 2 else ValueFold()
             self.parts.append((part_level, scope_of, fold))
 

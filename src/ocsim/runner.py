@@ -19,7 +19,7 @@ from . import negotiation as neg
 from . import observer as obs
 from .kernel import DEFAULT_TICK_CAP, Kernel
 from .metrics import IntervalRecord, classify_phase, compute_margins, evaluate_run
-from .model import ScenarioConfig, UnitModel, validate_scenario
+from .model import ScenarioConfig, validate_scenario
 from .topology import build_small_world
 
 CENTRAL_ID = "central"
@@ -48,7 +48,56 @@ class RunResult:
     agents: dict = field(default_factory=dict)
 
 
+class CentralController:
+    """The central controller's endpoint on the bus. It owns the topology it
+    last pushed and its blacklist, answers escalation reports, and logs its
+    actions to the run's one action list."""
+
+    def __init__(self, topology, agents, actions, seed):
+        self.topology = topology
+        self.blacklist = set()
+        self.agents = agents
+        self.actions = actions
+        self.seed = seed
+
+    def handle(self, kernel, msg):
+        if msg.kind == "EscalationReport":
+            c = msg.content
+            self.react(kernel, obs.AnomalyReport(suspect=c["suspect"],
+                                                 first_flagged_interval=c["interval"],
+                                                 score=c["score"], detector=c["detector"]))
+
+    def react(self, kernel, report):
+        suspect_unit = self.agents[report.suspect].units[0]
+        load = {aid: len(a.units) for aid, a in self.agents.items()}
+        actions = ctrl.centralized_react(report, self.topology, self.blacklist, load,
+                                         suspect_unit, tick=kernel.clock, seed=self.seed)
+        self.actions.extend(actions)
+        for action in actions:
+            if action.kind == "TopologyPush":
+                self.topology = action.topology
+                adjacency = {a: sorted(action.topology.neighbors(a))
+                             for a in sorted(action.topology.nodes)}
+                content = {"generation": action.topology.generation,
+                           "adjacency": adjacency, "excluded": sorted(self.blacklist)}
+                for aid in sorted(action.topology.nodes):
+                    kernel.send(CENTRAL_ID, aid, "TopologyPush", content)
+            elif action.kind == "TaskReassignment":
+                # custodial handover: the new owner runs the orphaned unit on
+                # its reference schedule; without the unit's local controller
+                # it cannot exploit the full flexibility range
+                kernel.send(CENTRAL_ID, action.new_owner, "TaskHandover",
+                            {"unit_id": suspect_unit.unit_id, "unit_type": suspect_unit.unit_type,
+                             "schedules": [list(suspect_unit.feasible_schedules[0])]})
+
+
 class Simulation:
+    """One run. Every bus endpoint answers its own messages: the kernel holds
+    the bound `handle` of each agent and of the central controller, and none
+    of them refers back to the simulation or the kernel, so a run makes no
+    reference cycle and a copy of an unrun simulation delivers to its own
+    agents."""
+
     def __init__(self, config: ScenarioConfig, tick_cap: int = DEFAULT_TICK_CAP):
         violations = validate_scenario(config)
         if violations:
@@ -60,6 +109,8 @@ class Simulation:
         self.unit_types = {}
         for spec in config.agents:
             agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target)
+            agent.react_lag = random.Random(
+                f"ocsim-react:{config.seed}:{spec.agent_id}").randint(8, 64)
             self.agents[spec.agent_id] = agent
             self.unit_types[spec.agent_id] = spec.unit.unit_type
             if spec.is_compromised:
@@ -67,113 +118,23 @@ class Simulation:
                                                  config=config.attack)
 
         tp = config.topology_params
-        self.topology = build_small_world(self.agents, tp.k, tp.rewire_probability,
-                                          config.seed)
+        topology = build_small_world(self.agents, tp.k, tp.rewire_probability, config.seed)
         for aid, agent in self.agents.items():
-            agent.neighbors = set(self.topology.neighbors(aid))
+            agent.neighbors = set(topology.neighbors(aid))
 
         dm = config.delay_model
         self.kernel = Kernel(config.seed, dm.min_ticks, dm.max_ticks, tick_cap=tick_cap)
-
-        self.central_blacklist = set()  # the central controller's; see `_apply_control`
-        # per-agent lag between learning of a blacklist entry and applying the
-        # local exclusion (each local controller re-checks the accusation
-        # against its own observer before acting)
-        self._react_lag = {aid: random.Random(f"ocsim-react:{config.seed}:{aid}").randint(8, 64)
-                           for aid in self.agents}
-        self._notice_seen = set()
         self.reports = []
         self.actions = []
+        self.central = CentralController(topology, self.agents, self.actions, config.seed)
+        for aid, agent in self.agents.items():
+            self.kernel.register(aid, agent.handle)
+        self.kernel.register(CENTRAL_ID, self.central.handle)
         self.control_tick = None  # set once, when control is applied
         self.gossip_completion_tick = None
         # folds each interval before the incident; finished at the incident
         self._observer = obs.TrainedObserver(config.observer_arch, config.info_level,
                                              list(self.agents), self.unit_types, config.seed)
-
-    # --- message handling ---
-
-    def _wire(self):
-        """Connect the kernel to this simulation's handlers. They close over
-        the simulation, so `_unwire` drops them again when the run ends:
-        otherwise simulation, kernel and the retained trace form one
-        reference cycle that only a full collection can free."""
-        for aid in self.agents:
-            self.kernel.register(aid, self._agent_handler(aid))
-        self.kernel.register(CENTRAL_ID, self._central_handler)
-
-    def _unwire(self):
-        self.kernel.handlers.clear()
-
-    def _agent_handler(self, aid):
-        agent = self.agents[aid]
-
-        def handler(kernel, msg):
-            if msg.kind == "WorkingMemoryUpdate":
-                agent.handle(kernel, msg)
-            elif msg.kind == "BlacklistNotice":
-                suspect = msg.content["suspect"]
-                if suspect in agent.blacklist:
-                    pass
-                elif msg.sender == aid:
-                    # own deferred apply timer: the local check is done
-                    agent.exclude_local(suspect)
-                    # anything merged so far may have been laundered through
-                    # the compromised agent, so the conservative reaction is
-                    # to restart from the own entry; this churn is the cost
-                    # of decentralized mitigation
-                    agent.restart()
-                elif (aid, suspect) not in self._notice_seen:
-                    # first time hearing the accusation: gossip it on at once,
-                    # but apply the exclusion only after the local controller
-                    # has re-checked it against its own observer
-                    self._notice_seen.add((aid, suspect))
-                    for nb in sorted(agent.neighbors - {suspect}):
-                        kernel.send(aid, nb, "BlacklistNotice", {"suspect": suspect})
-                    kernel.send(aid, aid, "BlacklistNotice", {"suspect": suspect},
-                                delay=self._react_lag[aid])
-            elif msg.kind == "TopologyPush":
-                agent.adopt_topology(msg.content["generation"],
-                                     msg.content["adjacency"].get(aid, []),
-                                     msg.content["excluded"])
-            elif msg.kind == "TaskHandover":
-                unit = UnitModel(unit_id=msg.content["unit_id"],
-                                 unit_type=msg.content["unit_type"],
-                                 feasible_schedules=[tuple(s) for s in msg.content["schedules"]])
-                agent.adopt_unit(unit)
-        return handler
-
-    def _central_handler(self, kernel, msg):
-        if msg.kind == "EscalationReport":
-            report = obs.AnomalyReport(suspect=msg.content["suspect"],
-                                       first_flagged_interval=msg.content["interval"],
-                                       score=msg.content["score"], detector=msg.content["detector"])
-            self._central_react(report)
-
-    def _central_react(self, report):
-        suspect_unit = self.agents[report.suspect].units[0]
-        load = {aid: len(a.units) for aid, a in self.agents.items()}
-        actions = ctrl.centralized_react(
-            report, self.topology, self.central_blacklist, load, suspect_unit,
-            tick=self.kernel.clock, seed=self.config.seed)
-        self.actions.extend(actions)
-        for action in actions:
-            if action.kind == "TopologyPush":
-                self.topology = action.topology
-                adjacency = {a: sorted(action.topology.neighbors(a))
-                             for a in sorted(action.topology.nodes)}
-                content = {"generation": action.topology.generation,
-                           "adjacency": adjacency,
-                           "excluded": sorted(self.central_blacklist)}
-                for aid in sorted(action.topology.nodes):
-                    self.kernel.send(CENTRAL_ID, aid, "TopologyPush", content)
-            elif action.kind == "TaskReassignment":
-                # custodial handover: the new owner runs the orphaned unit on
-                # its reference schedule; without the unit's local controller
-                # it cannot exploit the full flexibility range
-                unit = suspect_unit
-                self.kernel.send(CENTRAL_ID, action.new_owner, "TaskHandover",
-                                 {"unit_id": unit.unit_id, "unit_type": unit.unit_type,
-                                  "schedules": [list(unit.feasible_schedules[0])]})
 
     # --- per-interval unit availability ---
 
@@ -228,7 +189,7 @@ class Simulation:
                                                 r.first_flagged_interval, r.suspect))
 
     # ticks between a decentralized controller's decision and its first
-    # notices hitting the wire (observer cross-check before acting)
+    # notices hitting the wire (a processing latency)
     REACTION_LATENCY = 12
 
     def _apply_control(self, report):
@@ -236,9 +197,9 @@ class Simulation:
         Centralized is a clean cutover: the topology push and task handover.
         A decentralized reaction has no global synchronisation point: the
         blacklist gossip spreads peer to peer, and each local controller
-        excludes after its own verification lag and re-negotiates from
-        scratch. That extra traffic lands in the current interval's message
-        count, so it shows on the bus, not in the next consensus. Control
+        excludes after its own reaction lag and re-negotiates from scratch.
+        That extra traffic lands in the current interval's message count, so
+        it shows on the bus, not in the next consensus. Control
         runs once; when it is done, every agent excluded by the central
         controller or by any local one is cut off the bus, and
         `kernel.excluded` is the run's blacklist from then on."""
@@ -246,12 +207,12 @@ class Simulation:
         kernel = self.kernel
         self.control_tick = kernel.clock
         if arch == "Centralized":
-            self._central_react(report)
+            self.central.react(kernel, report)
         else:
             # the controller co-located with the observer nearest the
             # anomaly: the suspect's lowest-id neighbor (a validated topology
             # is connected, so there is one)
-            host = self.agents[min(self.topology.neighbors(report.suspect))]
+            host = self.agents[min(self.central.topology.neighbors(report.suspect))]
             if arch == "Decentralized":
                 actions = ctrl.decentralized_react(report, host, tick=kernel.clock)
             else:  # MultiLeveled
@@ -272,19 +233,18 @@ class Simulation:
                                 delay=self.REACTION_LATENCY)
         neg.gossip_to_quiescence(kernel, self.agents)
         self.gossip_completion_tick = kernel.clock
-        kernel.excluded.update(self.central_blacklist.union(
+        kernel.excluded.update(self.central.blacklist.union(
             *(agent.blacklist for agent in self.agents.values())))
 
     # --- main loop ---
 
     def run(self) -> RunResult:
-        # A run makes no cyclic garbage (see `_wire`), so the cyclic collector
-        # is off for the whole run: its collections would only re-walk the
-        # retained trace. The caller's setting is restored at the end, and
-        # the caller's next collection walks what the run kept once.
+        # A run makes no cyclic garbage (see the class), so the cyclic
+        # collector is off for the whole run: its collections would only
+        # re-walk the retained trace. The caller's setting is restored at the
+        # end, and the caller's next collection walks what the run kept once.
         collecting = gc.isenabled()
         gc.disable()
-        self._wire()
         try:
             cfg = self.config
             records = []
@@ -317,7 +277,6 @@ class Simulation:
                              control_tick=self.control_tick, margins=margins,
                              evaluation=evaluation, agents=self.agents)
         finally:
-            self._unwire()
             if collecting:
                 gc.enable()
 

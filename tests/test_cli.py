@@ -188,18 +188,38 @@ def test_sweep_runs_the_matrix_and_summarizes(tmp_path, scenario_file, capsys):
 
 
 def test_summary_quotes_a_failure_message_holding_a_comma(tmp_path, scenario_file):
-    d = json.loads(scenario_file.read_text())
-    d["incident_interval"] = 3  # too few training intervals: every cell fails
-    scenario_file.write_text(json.dumps(d))
-    out = tmp_path / "sweep"
+    out = tmp_path / "sweep,1"
+    blocked = {}
+    for level in (3, 4):
+        # a directory where the trace goes: every cell fails writing it, and
+        # the error message quotes a path holding a comma
+        blocked[level] = out / f"Decentralized-L{level}-Centralized" / "trace.jsonl"
+        blocked[level].mkdir(parents=True)
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
-                 "--level", "3,4"]) == 0
+                 "--observer", "Decentralized", "--level", "3,4",
+                 "--controller", "Centralized"]) == 0
     with open(out / "summary.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
-    for row in rows:
+    for row, level in zip(rows, (3, 4)):
         assert None not in row  # no field beyond the header
-        assert row["status"] == "failed: need >= 5 training intervals, got 3"
+        assert row["status"] == f"failed: [Errno 21] Is a directory: '{blocked[level]}'"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_a_tick_cap_below_one_is_refused(tmp_path, scenario_file, capsys, command, cap):
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario_file), "--out", str(out),
+                 "--tick-cap", cap]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"violation: --tick-cap {cap}: must be >= 1"]
+    assert not out.exists()
+
+
+def test_a_small_tick_cap_reaches_the_run(tmp_path, scenario_file, capsys):
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "out"),
+                 "--tick-cap", "5"]) == 3
+    assert capsys.readouterr().err.startswith("runtime fault: tick cap 5 exceeded")
 
 
 def test_compare_requires_a_shared_base(tmp_path, scenario_file, capsys):

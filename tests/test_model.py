@@ -111,6 +111,19 @@ def test_validation_flags_phase_ordering(scenario):
     assert any("incident" in v for v in validate_scenario(bad))
 
 
+@pytest.mark.parametrize("start,accepted", [(19, False), (20, True), (21, False), (40, False),
+                                            (59, False), (60, True), (99, True)])
+def test_the_attack_starts_at_the_incident_or_never(scenario, start, accepted):
+    """Phases are labelled from incident_interval (20 here), so an attack may
+    start only there, or at num_intervals (60) or later for an untampered
+    twin."""
+    cfg = dataclasses.replace(scenario, attack=dataclasses.replace(
+        scenario.attack, active_from_interval=start))
+    assert validate_scenario(cfg) == ([] if accepted else [
+        "attack.active_from_interval: must be incident_interval, where the phases say the "
+        "attack starts, or >= num_intervals for no attack"])
+
+
 def test_validation_flags_unknown_enums(scenario):
     bad = dataclasses.replace(scenario, observer_arch="Oracle", info_level=9,
                               controller_arch="Magic")

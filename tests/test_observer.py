@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from statistics import median
 
@@ -49,8 +50,8 @@ def test_projection_rejects_unknown_level():
 def test_scope_filter_restricts_to_members():
     observations = _series("a00", 1, {i: 1.0 for i in range(6)}) \
         + _series("a01", 1, {i: 1.0 for i in range(6)})
-    scope = obs.ObserverScope("Decentralized", frozenset({"a00"}), label="a00")
-    assert {o.sender for o in obs.scope_filter(observations, scope)} == {"a00"}
+    scope_of = obs.make_scopes("Decentralized", ["a00"], {"a00": "PV"}, seed=1)
+    assert {o.sender for o in obs.scope_filter(observations, scope_of)} == {"a00"}
 
 
 # --- statistical detector ---
@@ -431,22 +432,121 @@ def test_levels_below_three_cannot_see_content_tampering():
         assert out[0] == out[1] == []
 
 
+def _with_steady(window, slots, value=1.0, delay=3, burst=0):
+    """`window` plus a steady sender "zz": per interval, 2 + `burst`
+    broadcasts of `value` in every slot, each delivered to two receivers
+    after `delay` ticks. Trained on its own steady traffic, zz is never
+    reported."""
+    out = []
+    for events in window:
+        interval = events[0].message.interval
+        messages = [e.message for e in events]
+        for b in range(2 + burst):
+            content = {"entries": {"zz": {"values": (value,) * slots, "revision": 0}}}
+            for receiver in ("a00", "a01"):
+                messages.append(Message(msg_id=10**6 + len(messages), sender="zz",
+                                        receiver=receiver, sent_tick=5 * b,
+                                        delivered_tick=5 * b + delay, kind="WorkingMemoryUpdate",
+                                        content=content, interval=interval))
+        messages.sort(key=lambda m: (m.delivered_tick, m.msg_id))
+        out.append([TraceEvent(message=m, delivered=True) for m in messages])
+    return out
+
+
+def _perturbed(window, values=None, ticks=None):
+    """`window` with every entry's values mapped by `values`, one new content
+    per content object so that broadcasts stay shared, and every delivery
+    tick mapped by `ticks`."""
+    contents = {}
+    out = []
+    for events in window:
+        rebuilt = []
+        for e in events:
+            m = e.message
+            content = m.content
+            if values is not None and "entries" in content:
+                if id(content) not in contents:
+                    contents[id(content)] = (content, {"entries": {
+                        a: {"values": values(entry["values"]), "revision": entry["revision"]}
+                        for a, entry in content["entries"].items()}})
+                content = contents[id(content)][1]
+            tick = m.delivered_tick if ticks is None else ticks(m.delivered_tick)
+            rebuilt.append(TraceEvent(dataclasses.replace(m, content=content,
+                                                          delivered_tick=tick), True))
+        out.append(rebuilt)
+    return out
+
+
+@given(st.data(), st.sampled_from(["Centralized", "Decentralized", "GroupedByType",
+                                   "GroupedRandom"]), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_reports_ignore_what_the_level_may_not_see(data, arch, level):
+    """Metamorphic, on the path a run takes (fold, finish, detect): perturbing
+    what a level may not see leaves the reports repr-identical (content
+    values at levels 1-2, delivery ticks at level 1 with the delivery order
+    kept, constraints at levels 1-3), and perturbing the steady sender zz in
+    what the level does see (rate, delay, values, constraints) changes them."""
+    slots = data.draw(st.integers(1, 3))
+    training = data.draw(_window(slots, min_intervals=obs.MIN_TRAINING_INTERVALS,
+                                 value=_steady_value))
+    detection = data.draw(_window(slots, first_interval=20, min_intervals=1,
+                                  value=_steady_value | _value, max_rows=12))
+    schedules = st.lists(st.tuples(*[_schedule_value] * slots), min_size=1, max_size=3)
+    constraints, other_constraints = (
+        {**data.draw(st.fixed_dictionaries({a: schedules for a in _AGENTS})),
+         "zz": [(1.0,) * slots]} for _ in range(2))
+
+    def reports(training, detection, constraints):
+        observer = obs.TrainedObserver(arch, level, _AGENTS + ["zz"], {**_TYPES, "zz": "Wind"},
+                                       seed=1)
+        for events in training:
+            observer.fold(events)
+        observer.finish()
+        return repr(observer.detect([e for events in detection for e in events], constraints))
+
+    train, detect = _with_steady(training, slots), _with_steady(detection, slots)
+    baseline = reports(train, detect, constraints)
+    assert "'zz'" not in baseline
+    if level <= 2:
+        def lie(vs):
+            return tuple(-7.0 * v + 3.5 for v in vs)
+        assert reports(_perturbed(train, values=lie), _perturbed(detect, values=lie),
+                       constraints) == baseline
+    if level == 1:
+        def later(tick):
+            return 3 * tick + 1
+        assert reports(_perturbed(train, ticks=later), _perturbed(detect, ticks=later),
+                       constraints) == baseline
+    if level <= 3:
+        assert reports(train, detect, other_constraints) == baseline
+    if level == 1:
+        seen = reports(train, _with_steady(detection, slots, burst=10), constraints)
+    elif level == 2:
+        seen = reports(train, _with_steady(detection, slots, delay=8), constraints)
+    elif level == 3:
+        seen = reports(train, _with_steady(detection, slots, value=11.0), constraints)
+    else:
+        seen = reports(train, detect, {**constraints, "zz": [(2.0,) * slots]})
+    assert "'zz'" in seen
+
+
 # --- scopes, dedup, dispatch ---
 
 def test_scope_construction_covers_all_architectures():
     ids = [f"a{i:02d}" for i in range(8)]
     types = {aid: ("Battery" if i % 2 else "PV") for i, aid in enumerate(ids)}
+    for arch in ("Centralized", "Decentralized", "GroupedByType", "GroupedRandom"):
+        scope_of = obs.make_scopes(arch, ids, types, seed=1)
+        assert sorted(scope_of) == ids  # every agent is watched by exactly one scope
+        assert {s.kind for s in scope_of.values()} == {arch}
     central = obs.make_scopes("Centralized", ids, types, seed=1)
-    assert len(central) == 1 and central[0].members == frozenset(ids)
+    assert len(set(map(id, central.values()))) == 1  # one scope object for all
     decentralized = obs.make_scopes("Decentralized", ids, types, seed=1)
-    assert len(decentralized) == 8
-    assert all(len(s.members) == 1 for s in decentralized)
+    assert all(s.label == a for a, s in decentralized.items())
     by_type = obs.make_scopes("GroupedByType", ids, types, seed=1)
-    assert {s.label for s in by_type} == {"Battery", "PV"}
+    assert all(s.label == types[a] for a, s in by_type.items())
     grouped = obs.make_scopes("GroupedRandom", ids, types, seed=1)
-    union = frozenset().union(*(s.members for s in grouped))
-    assert union == frozenset(ids)
-    assert sum(len(s.members) for s in grouped) == len(ids)  # a partition
+    assert sorted({s.label for s in grouped.values()}) == ["g0", "g1"]
     with pytest.raises(ValueError):
         obs.make_scopes("Panopticon", ids, types, seed=1)
 
@@ -472,7 +572,7 @@ def test_a_traffic_report_carries_its_suspects_scope_label():
 
 
 def test_dedup_prefers_earliest_then_strongest_evidence():
-    scope = obs.ObserverScope("Centralized", frozenset({"a00"}))
+    scope = obs.ObserverScope("Centralized")
     mk = lambda interval, detector: obs.AnomalyReport(
         suspect="a00", first_flagged_interval=interval, score=1.0,
         detector=detector, scope=scope)
@@ -483,9 +583,9 @@ def test_dedup_prefers_earliest_then_strongest_evidence():
 
 
 def test_report_record_shape():
-    scope = obs.ObserverScope("Decentralized", frozenset({"a00"}), label="a00")
+    scope = obs.ObserverScope("Decentralized", label="a00")
     report = obs.AnomalyReport(suspect="a00", first_flagged_interval=21,
                                score=8.5, detector="robust_z", scope=scope)
     assert obs.report_record(report) == {
         "suspect": "a00", "first_flagged_interval": 21, "score": 8.5,
-        "detector": "robust_z", "scope": scope.describe()}
+        "detector": "robust_z", "scope": "Decentralized(a00)"}

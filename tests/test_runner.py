@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import gc
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +10,11 @@ from ocsim import negotiation as neg
 from ocsim import observer as obs
 from ocsim.kernel import Message, NonConvergenceError, TraceEvent
 from ocsim.metrics import classify_phase
-from ocsim.model import generate_default_scenario
+from ocsim.model import generate_default_scenario, validate_scenario
 from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, run_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import digest_result  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -182,10 +188,17 @@ def test_the_incident_interval_reads_only_its_own_events(monkeypatch, observer_a
 
 @pytest.mark.parametrize("observer_arch", ["Decentralized", "MultiLeveled"])
 def test_a_short_training_window_is_refused(observer_arch):
-    cfg = dataclasses.replace(generate_default_scenario(seed=1), observer_arch=observer_arch,
-                              info_level=4, incident_interval=3)
-    with pytest.raises(obs.InsufficientTrainingError):
-        run_scenario(cfg)
+    """Validation refuses fewer than MIN_TRAINING_INTERVALS intervals before
+    the incident with one rule for every level, so no run starts."""
+    base = generate_default_scenario(seed=1)
+    for level in (1, 2, 3, 4):
+        cfg = dataclasses.replace(base, observer_arch=observer_arch, info_level=level,
+                                  incident_interval=obs.MIN_TRAINING_INTERVALS - 1,
+                                  attack=dataclasses.replace(base.attack, active_from_interval=4))
+        assert validate_scenario(cfg) == [
+            "incident_interval: need >= 5 training intervals before it"]
+        with pytest.raises(ValueError, match="invalid scenario: incident_interval"):
+            run_scenario(cfg)
 
 
 def test_the_collector_is_off_during_a_run_and_back_on_after_it(monkeypatch):
@@ -281,8 +294,29 @@ def test_the_local_reaction_starts_at_the_suspects_lowest_id_neighbor(controller
     sim = Simulation(dataclasses.replace(generate_default_scenario(seed=1),
                                          controller_arch=controller))
     compromised = next(a.agent_id for a in sim.config.agents if a.is_compromised)
-    neighbors = sim.topology.neighbors(compromised)
+    neighbors = sim.central.topology.neighbors(compromised)
     assert min(neighbors) != min(set(sim.agents) - {compromised})
     result = sim.run()
     assert [(a.issuer, a.target) for a in result.actions if a.kind == "ExcludeLocal"] == \
         [(min(neighbors), compromised)]
+
+
+@pytest.mark.parametrize("controller", ["Centralized", "Decentralized", "MultiLeveled"])
+def test_every_endpoint_answers_its_own_messages(controller):
+    """The kernel holds only the bound `handle` of each agent and of the
+    central controller, so a deep copy of an unrun simulation delivers to its
+    own agents and runs to the digest of the original."""
+    sim = Simulation(dataclasses.replace(generate_default_scenario(seed=1),
+                                         controller_arch=controller))
+    twin = copy.deepcopy(sim)
+    for s in (sim, twin):
+        endpoints = {**s.agents, "central": s.central}
+        assert s.kernel.handlers.keys() == endpoints.keys()
+        for aid, handler in s.kernel.handlers.items():
+            assert handler.__self__ is endpoints[aid]
+            assert handler.__func__ is type(endpoints[aid]).handle
+    twin_result = twin.run()
+    # the twin's run reached none of the original's agents, nor its delay stream
+    assert not sim.kernel.trace.events
+    assert all(not agent.memory.entries for agent in sim.agents.values())
+    assert digest_result(twin_result) == digest_result(sim.run())
