@@ -7,9 +7,10 @@ validated scenario never ends in `DegradedSystemError` (see README).
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -41,7 +42,8 @@ def _output_root(args_out):
 
 def execute_run(config, out_dir, scenario_path="", tick_cap=DEFAULT_TICK_CAP, run_id=None):
     """Run a validated scenario and write the five run artifacts: trace,
-    records CSV, evaluation JSON, plots directory, manifest."""
+    records CSV, evaluation JSON, plots directory, manifest. Returns the
+    manifest and the run's `RunResult`."""
     os.makedirs(out_dir, exist_ok=True)
     full_hash, base_hash = config_hashes(config)
     run_id = run_id or f"{config.seed}-{config.observer_arch}-L{config.info_level}-{config.controller_arch}"
@@ -66,7 +68,7 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=DEFAULT_TICK_CAP, ru
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return manifest
+    return manifest, result
 
 
 def _valid_scenario(args):
@@ -96,8 +98,8 @@ def cmd_run(args) -> int:
         return 2
     out_dir = _output_root(args.out)
     try:
-        manifest = execute_run(config, out_dir, scenario_path=args.scenario,
-                               tick_cap=args.tick_cap)
+        manifest, _ = execute_run(config, out_dir, scenario_path=args.scenario,
+                                  tick_cap=args.tick_cap)
     except Exception as exc:  # runtime fault contract
         print(f"runtime fault: {exc}", file=sys.stderr)
         return 3
@@ -120,21 +122,19 @@ def cmd_sweep(args) -> int:
         print(f"violation: --level {args.level!r}: {exc}", file=sys.stderr)
         return 2
     controllers = _parse_list(args.controller) or [base.controller_arch]
-    cells = []
+    # the cells share the base's parts: a run never mutates its config
+    cells = [dataclasses.replace(base, observer_arch=ob, info_level=lv, controller_arch=ct)
+             for ob, lv, ct in itertools.product(observers, levels, controllers)]
     violations = {}  # one line per bad value, however many cells share it
-    for ob in observers:
-        for lv in levels:
-            for ct in controllers:
-                cell = copy.deepcopy(base)
-                cell.observer_arch, cell.info_level, cell.controller_arch = ob, lv, ct
-                violations.update(dict.fromkeys(model.validate_scenario(cell)))
-                cells.append(cell)
+    for cell in cells:
+        violations.update(dict.fromkeys(model.validate_scenario(cell)))
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
     if violations:
         return 2
     out_root = _output_root(args.out)
     os.makedirs(out_root, exist_ok=True)
+    compromised = {a.agent_id for a in base.agents if a.is_compromised}
     summary = []
     for cell in cells:
         ob, lv, ct = cell.observer_arch, cell.info_level, cell.controller_arch
@@ -142,17 +142,14 @@ def cmd_sweep(args) -> int:
         cell_dir = os.path.join(out_root, cell_id)
         row = {"cell": cell_id, "observer": ob, "level": lv, "controller": ct}
         try:
-            manifest = execute_run(cell, cell_dir, scenario_path=args.scenario,
-                                   tick_cap=args.tick_cap, run_id=cell_id)
-            with open(os.path.join(cell_dir, "evaluation.json")) as f:
-                ev = json.load(f)
-            compromised = [a.agent_id for a in cell.agents if a.is_compromised]
+            manifest, result = execute_run(cell, cell_dir, scenario_path=args.scenario,
+                                           tick_cap=args.tick_cap, run_id=cell_id)
             row["status"] = manifest["status"]
-            row["detected"] = any(r["suspect"] in compromised for r in ev["reports"])
+            row["detected"] = any(r.suspect in compromised for r in result.reports)
+            per_phase = result.evaluation["per_phase"]
             for phase in met.PHASES:
                 for m in met.METRICS:
-                    row[f"{phase}.{m}.out_fraction"] = \
-                        ev["evaluation"]["per_phase"][phase][m]["out_fraction"]
+                    row[f"{phase}.{m}.out_fraction"] = per_phase[phase][m]["out_fraction"]
         except Exception as exc:
             row["status"] = f"failed: {exc}"
             row["detected"] = ""

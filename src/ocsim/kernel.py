@@ -2,7 +2,8 @@
 
 Delivery order is the total order (delivered_tick, msg_id). Message delays are
 integer ticks drawn from a dedicated RNG stream, so RNG use elsewhere cannot
-perturb them.
+perturb them. A message belongs to the interval it was sent in: `send` stamps
+it, and a run drains the queue within each interval.
 """
 from __future__ import annotations
 
@@ -131,7 +132,6 @@ class Kernel:
                     f"tick cap {self.tick_cap} exceeded at tick {self.clock}", self.trace)
             while self._queue and self._queue[0][0] == tick:
                 _, _, msg = heapq.heappop(self._queue)
-                msg.interval = self.current_interval
                 self.trace.events.append(TraceEvent(message=msg, delivered=True))
                 self.trace.interval_counts[msg.interval] = \
                     self.trace.interval_counts.get(msg.interval, 0) + 1

@@ -161,12 +161,12 @@ def validate_scenario(config: ScenarioConfig) -> list:
         v.append("num_intervals: must be >= 1")
     if config.intervals_per_negotiation < 1:
         v.append("intervals_per_negotiation: must be >= 1")
-    if not (0 < config.incident_interval < config.control_interval < config.num_intervals):
+    if not (config.incident_interval < config.control_interval < config.num_intervals):
         if config.control_interval <= config.incident_interval:
             v.append("control_interval: control before incident")
         else:
             v.append("incident_interval/control_interval: must satisfy "
-                     "0 < incident < control < num_intervals")
+                     "incident < control < num_intervals")
     if config.incident_interval < MIN_TRAINING_INTERVALS:  # the observer's training window
         v.append(f"incident_interval: need >= {MIN_TRAINING_INTERVALS} "
                  "training intervals before it")

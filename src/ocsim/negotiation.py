@@ -157,11 +157,10 @@ class NegotiationAgent:
         self.memory = WorkingMemory()
         self.dirty = False
         if jitter_by_unit is not None:
-            self._jitter = dict(jitter_by_unit)
-            self._rebuild_feasible(self._jitter)
+            self._jitter = jitter_by_unit  # the caller's, never mutated
+            self._rebuild_feasible(jitter_by_unit)
 
     def initiate(self, kernel):
-        self._ensure_own_entry()
         self._best_respond(kernel)
         self._broadcast(kernel)
 
@@ -195,7 +194,6 @@ class NegotiationAgent:
     def respond(self, kernel):
         """Re-derive the best response after merges and broadcast the memory."""
         self.dirty = False
-        self._ensure_own_entry()
         self._best_respond(kernel)
         self._broadcast(kernel)
 
@@ -266,11 +264,6 @@ class NegotiationAgent:
                 agg[t] += v
         return agg
 
-    def _ensure_own_entry(self):
-        if self.agent_id not in self.memory.entries:
-            idx = choose_best_schedule(self.feasible, self._others_aggregate(), self.target)
-            self.memory.entries[self.agent_id] = {"values": self.feasible[idx], "revision": 0}
-
     def _set_own(self, values):
         cur = self.memory.entries[self.agent_id]
         if tuple(values) != cur["values"]:
@@ -284,9 +277,11 @@ class NegotiationAgent:
         candidate improvement, so episodes quiesce without ping-pong, and a
         candidate value outside the feasible set (corrupted gossip) is never
         adopted as the own commitment."""
-        others = self._others_aggregate()
-        idx = choose_best_schedule(self.feasible, others, self.target)
-        assignment = {aid: entry["values"] for aid, entry in self.memory.entries.items()}
+        idx = choose_best_schedule(self.feasible, self._others_aggregate(), self.target)
+        entries = self.memory.entries
+        if self.agent_id not in entries:  # a first reply commits to its best response
+            entries[self.agent_id] = {"values": self.feasible[idx], "revision": 0}
+        assignment = {aid: entry["values"] for aid, entry in entries.items()}
         assignment[self.agent_id] = self.feasible[idx]
         agg = aggregate_of(assignment, len(self.target))
         cand = Candidate(assignment, objective(agg, self.target),

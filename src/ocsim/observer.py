@@ -25,11 +25,12 @@ broadcast hands one content object to each of its receivers, so the value
 detectors work per distinct content: training counts a broadcast once with
 its number of delivered copies, and the median and MAD are weighted walks
 over the distinct values. Scoring memoizes each distinct content's z-score
-and constraint distance, and walks the messages in delivery order, where
-the z streaks advance once per delivered message, only for senders with a
-content beyond a threshold. The functions over `Observation` lists
-(`train_statistical`, `score_statistical`, `detect_constraint`,
-`train_traffic`, `score_traffic`) feed the same folds.
+and distance to the sender's feasible schedules (as the caller holds them),
+and walks the messages in delivery order, where the z streaks advance once
+per delivered message, only for senders with a content beyond a threshold.
+No run builds an `Observation`; the functions over `Observation` lists
+(`project`, `build_observations`, `train_statistical`, `score_statistical`,
+`detect_constraint`, `train_traffic`, `score_traffic`) feed the same folds.
 """
 from __future__ import annotations
 
@@ -172,18 +173,15 @@ class ValueScores:
     """Scoring state of a statistical part (level 3+) over one detection
     window. Per distinct (sender, values tuple), memoized: the largest robust
     z over the slots against a `ValueFold.finish` model (Iglewicz & Hoaglin's
-    robust z-score) and, given the sender's feasible schedules (level 4), the
-    distance to the nearest one. `crossing` holds the senders with a score
-    beyond a threshold: no other sender can be reported."""
+    robust z-score) and, given the sender's feasible schedules (level 4, any
+    container of tuples, kept as given), the distance to the nearest one.
+    `crossing` holds the senders with a score beyond a threshold: no other
+    sender can be reported."""
     __slots__ = ("model", "schedules_of", "scores", "crossing")
 
     def __init__(self, model, constraints_by_sender=None):
         self.model = model
-        self.schedules_of = {}  # sender -> (feasible schedules, the same as a set)
-        for sender, constraints in (constraints_by_sender or {}).items():
-            schedules = _schedules(constraints)
-            if schedules:
-                self.schedules_of[sender] = (schedules, frozenset(schedules))
+        self.schedules_of = constraints_by_sender or {}  # sender -> feasible schedules
         self.scores = {}  # (sender, values) -> (z_max, distance or None)
         self.crossing = set()
 
@@ -197,11 +195,10 @@ class ValueScores:
                 if stats is not None:
                     z_max = max(z_max, abs(v - stats[0]) / stats[1])
             dist = None
-            feasible = self.schedules_of.get(sender)
-            if feasible is not None:
-                schedules, schedule_set = feasible
+            schedules = self.schedules_of.get(sender)
+            if schedules:
                 # a feasible schedule itself is at distance 0, which no report shows
-                dist = 0.0 if values in schedule_set else min(
+                dist = 0.0 if values in schedules else min(
                     max(abs(a - b) for a, b in zip(values, sched)) for sched in schedules)
             scores = self.scores[key] = (z_max, dist)
             if z_max > Z_THRESHOLD or (dist is not None and dist > CONSTRAINT_EPSILON):

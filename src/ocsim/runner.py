@@ -22,8 +22,6 @@ from .metrics import IntervalRecord, classify_phase, compute_margins, evaluate_r
 from .model import ScenarioConfig, validate_scenario
 from .topology import build_small_world
 
-CENTRAL_ID = "central"
-
 # convergence durations are reported at the metrics pipeline's telemetry
 # resolution (ticks are far finer than any monitoring system samples)
 CONVERGENCE_RESOLUTION = 12
@@ -50,8 +48,8 @@ class RunResult:
 
 class CentralController:
     """The central controller's endpoint on the bus. It owns the topology it
-    last pushed and its blacklist, answers escalation reports, and logs its
-    actions to the run's one action list."""
+    last pushed and its blacklist, acts on the suspect of each escalation
+    report, and logs its actions to the run's one action list."""
 
     def __init__(self, topology, agents, actions, seed):
         self.topology = topology
@@ -62,15 +60,12 @@ class CentralController:
 
     def handle(self, kernel, msg):
         if msg.kind == "EscalationReport":
-            c = msg.content
-            self.react(kernel, obs.AnomalyReport(suspect=c["suspect"],
-                                                 first_flagged_interval=c["interval"],
-                                                 score=c["score"], detector=c["detector"]))
+            self.react(kernel, msg.content["suspect"])
 
-    def react(self, kernel, report):
-        suspect_unit = self.agents[report.suspect].units[0]
+    def react(self, kernel, suspect):
+        suspect_unit = self.agents[suspect].units[0]
         load = {aid: len(a.units) for aid, a in self.agents.items()}
-        actions = ctrl.centralized_react(report, self.topology, self.blacklist, load,
+        actions = ctrl.centralized_react(suspect, self.topology, self.blacklist, load,
                                          suspect_unit, tick=kernel.clock, seed=self.seed)
         self.actions.extend(actions)
         for action in actions:
@@ -81,12 +76,12 @@ class CentralController:
                 content = {"generation": action.topology.generation,
                            "adjacency": adjacency, "excluded": sorted(self.blacklist)}
                 for aid in sorted(action.topology.nodes):
-                    kernel.send(CENTRAL_ID, aid, "TopologyPush", content)
+                    kernel.send(ctrl.CENTRAL_ID, aid, "TopologyPush", content)
             elif action.kind == "TaskReassignment":
                 # custodial handover: the new owner runs the orphaned unit on
                 # its reference schedule; without the unit's local controller
                 # it cannot exploit the full flexibility range
-                kernel.send(CENTRAL_ID, action.new_owner, "TaskHandover",
+                kernel.send(ctrl.CENTRAL_ID, action.new_owner, "TaskHandover",
                             {"unit_id": suspect_unit.unit_id, "unit_type": suspect_unit.unit_type,
                              "schedules": [list(suspect_unit.feasible_schedules[0])]})
 
@@ -129,7 +124,7 @@ class Simulation:
         self.central = CentralController(topology, self.agents, self.actions, config.seed)
         for aid, agent in self.agents.items():
             self.kernel.register(aid, agent.handle)
-        self.kernel.register(CENTRAL_ID, self.central.handle)
+        self.kernel.register(ctrl.CENTRAL_ID, self.central.handle)
         self.control_tick = None  # set once, when control is applied
         self.gossip_completion_tick = None
         # folds each interval before the incident; finished at the incident
@@ -159,9 +154,6 @@ class Simulation:
 
     # --- observer ---
 
-    def _constraints_map(self):
-        return {aid: tuple(agent.feasible) for aid, agent in self.agents.items()}
-
     def _observe(self, interval, events):
         """Hand the observer one finished interval. Intervals before the
         incident are folded into its training state; at the incident its
@@ -176,7 +168,8 @@ class Simulation:
                 # control comes after the incident and reports only from it,
                 # so the first detection interval always reaches this branch
                 self._observer.finish()
-            self.reports.extend(self._observer.detect(delivered, self._constraints_map()))
+            self.reports.extend(self._observer.detect(
+                delivered, {aid: agent.feasible_set for aid, agent in self.agents.items()}))
 
     # --- controller ---
 
@@ -205,28 +198,26 @@ class Simulation:
         `kernel.excluded` is the run's blacklist from then on."""
         arch = self.config.controller_arch
         kernel = self.kernel
+        suspect = report.suspect
         self.control_tick = kernel.clock
         if arch == "Centralized":
-            self.central.react(kernel, report)
+            self.central.react(kernel, suspect)
         else:
             # the controller co-located with the observer nearest the
             # anomaly: the suspect's lowest-id neighbor (a validated topology
             # is connected, so there is one)
-            host = self.agents[min(self.central.topology.neighbors(report.suspect))]
-            if arch == "Decentralized":
-                actions = ctrl.decentralized_react(report, host, tick=kernel.clock)
-            else:  # MultiLeveled
-                actions = ctrl.multi_leveled_react(report, host, tick=kernel.clock,
-                                                   central_id=CENTRAL_ID)
+            host = self.agents[min(self.central.topology.neighbors(suspect))]
+            react = (ctrl.decentralized_react if arch == "Decentralized"
+                     else ctrl.multi_leveled_react)
+            actions = react(suspect, host, tick=kernel.clock)
             self.actions.extend(actions)
             for action in actions:
                 if action.kind == "BlacklistNotice":
                     kernel.send(host.agent_id, action.target, "BlacklistNotice",
-                                {"suspect": report.suspect},
-                                delay=self.REACTION_LATENCY)
+                                {"suspect": suspect}, delay=self.REACTION_LATENCY)
                 elif action.kind == "EscalationReport":
-                    kernel.send(host.agent_id, CENTRAL_ID, "EscalationReport",
-                                {"suspect": report.suspect,
+                    kernel.send(host.agent_id, ctrl.CENTRAL_ID, "EscalationReport",
+                                {"suspect": suspect,
                                  "interval": report.first_flagged_interval,
                                  "score": report.score,
                                  "detector": report.detector},

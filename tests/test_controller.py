@@ -3,13 +3,7 @@ import pytest
 from ocsim import controller as ctrl
 from ocsim import negotiation as neg
 from ocsim.model import UnitModel
-from ocsim.observer import AnomalyReport
 from ocsim.topology import DegradedSystemError, build_small_world
-
-
-def _report(suspect="a03"):
-    return AnomalyReport(suspect=suspect, first_flagged_interval=21, score=9.0,
-                         detector="constraint", scope=None)
 
 
 def _agent(aid, neighbors):
@@ -40,7 +34,7 @@ def test_centralized_reaction_pushes_topology_and_reassigns():
     topology = build_small_world(ids, 4, 0.1, seed=1)
     blacklist = set()
     unit = UnitModel(unit_id="u-a03", unit_type="PV", feasible_schedules=[(-1.0,) * 4])
-    actions = ctrl.centralized_react(_report("a03"), topology, blacklist,
+    actions = ctrl.centralized_react("a03", topology, blacklist,
                                      {aid: 1 for aid in ids}, unit, tick=500, seed=1)
     kinds = [a.kind for a in actions]
     assert kinds == ["TopologyPush", "TaskReassignment"]
@@ -49,6 +43,7 @@ def test_centralized_reaction_pushes_topology_and_reassigns():
     assert push.topology.generation == topology.generation + 1
     assert handover.unit_id == "u-a03"
     assert handover.new_owner in push.topology.nodes
+    assert push.issuer == handover.issuer == "central"
     assert blacklist == {"a03"}
 
 
@@ -57,9 +52,9 @@ def test_centralized_reaction_is_idempotent_per_suspect():
     topology = build_small_world(ids, 4, 0.1, seed=1)
     blacklist = set()
     unit = UnitModel(unit_id="u-a03", unit_type="PV", feasible_schedules=[(-1.0,) * 4])
-    first = ctrl.centralized_react(_report("a03"), topology, blacklist,
+    first = ctrl.centralized_react("a03", topology, blacklist,
                                    {}, unit, tick=500, seed=1)
-    again = ctrl.centralized_react(_report("a03"), topology, blacklist,
+    again = ctrl.centralized_react("a03", topology, blacklist,
                                    {}, unit, tick=600, seed=1)
     assert first and again == []
     assert blacklist == {"a03"}
@@ -71,7 +66,7 @@ def test_centralized_reaction_refuses_degraded_system():
     blacklist = {"a01"}
     # excluding a second of three leaves a single survivor
     with pytest.raises(DegradedSystemError):
-        ctrl.centralized_react(_report("a02"), topology, blacklist,
+        ctrl.centralized_react("a02", topology, blacklist,
                                {}, None, seed=1)
 
 
@@ -79,7 +74,7 @@ def test_centralized_reaction_refuses_degraded_system():
 
 def test_decentralized_reaction_excludes_and_notifies_neighbors():
     agent = _agent("a01", {"a00", "a02", "a03"})
-    actions = ctrl.decentralized_react(_report("a03"), agent, tick=500)
+    actions = ctrl.decentralized_react("a03", agent, tick=500)
     assert actions[0].kind == "ExcludeLocal" and actions[0].target == "a03"
     notices = [a for a in actions if a.kind == "BlacklistNotice"]
     assert [a.target for a in notices] == ["a00", "a02"]  # never the suspect
@@ -88,13 +83,13 @@ def test_decentralized_reaction_excludes_and_notifies_neighbors():
 
 def test_decentralized_reaction_is_idempotent():
     agent = _agent("a01", {"a00", "a03"})
-    assert ctrl.decentralized_react(_report("a03"), agent)
-    assert ctrl.decentralized_react(_report("a03"), agent) == []
+    assert ctrl.decentralized_react("a03", agent)
+    assert ctrl.decentralized_react("a03", agent) == []
 
 
 def test_multi_leveled_reaction_adds_one_escalation():
     agent = _agent("a01", {"a00", "a02", "a03"})
-    actions = ctrl.multi_leveled_react(_report("a03"), agent, tick=500)
+    actions = ctrl.multi_leveled_react("a03", agent, tick=500)
     assert [a.kind for a in actions] == \
         ["ExcludeLocal", "BlacklistNotice", "BlacklistNotice", "EscalationReport"]
     assert actions[-1].target == "central"

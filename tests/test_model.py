@@ -111,6 +111,15 @@ def test_validation_flags_phase_ordering(scenario):
     assert any("incident" in v for v in validate_scenario(bad))
 
 
+def test_an_incident_at_interval_zero_is_one_violation(scenario):
+    """The lower bound of incident_interval is the training window's: the
+    phase ordering rule does not report it again."""
+    bad = dataclasses.replace(scenario, incident_interval=0, attack=dataclasses.replace(
+        scenario.attack, active_from_interval=0))
+    assert validate_scenario(bad) == [
+        "incident_interval: need >= 5 training intervals before it"]
+
+
 @pytest.mark.parametrize("start,accepted", [(19, False), (20, True), (21, False), (40, False),
                                             (59, False), (60, True), (99, True)])
 def test_the_attack_starts_at_the_incident_or_never(scenario, start, accepted):

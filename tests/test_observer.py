@@ -383,13 +383,16 @@ _schedule_value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-10, 10)
 def test_event_based_detect_matches_the_observation_path(data, arch, level):
     """`detect` scores each broadcast once but reports what projecting and
     scoring every delivered copy reports: suspect, interval, score repr,
-    detector and scope."""
+    detector and scope. A sender's schedules come in any container: a run
+    hands over each agent's own feasible set."""
     slots = data.draw(st.integers(1, 3))
     training = data.draw(_window(slots, min_intervals=obs.MIN_TRAINING_INTERVALS,
                                  value=_steady_value))
     detection = data.draw(_window(slots, first_interval=20, min_intervals=1,
                                   value=_steady_value | _value, max_rows=12))
-    schedules = st.lists(st.tuples(*[_schedule_value] * slots), min_size=1, max_size=3)
+    container = data.draw(st.sampled_from([list, tuple, set, frozenset]))
+    schedules = st.lists(st.tuples(*[_schedule_value] * slots), min_size=1,
+                         max_size=3).map(container)
     constraints = data.draw(st.none() | st.fixed_dictionaries({a: schedules for a in _AGENTS}))
     observer = obs.TrainedObserver(arch, level, _AGENTS, _TYPES, seed=1)
     for events in training:

@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ocsim import negotiation as neg
 from ocsim import observer as obs
 from ocsim.kernel import Message, NonConvergenceError, TraceEvent
 from ocsim.metrics import classify_phase
-from ocsim.model import generate_default_scenario, validate_scenario
+from ocsim.model import (ATTACK_MODES, CONTROLLER_ARCHS, OBSERVER_ARCHS, SETPOINT_GRID,
+                         generate_default_scenario, validate_scenario)
 from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, run_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -284,6 +286,102 @@ def test_each_broadcast_is_decoded_at_most_once(monkeypatch):
     run_scenario(generate_default_scenario(seed=1))
     # one encode_memory per broadcast
     assert 0 < calls["decode_memory"] <= calls["encode_memory"]
+
+
+def test_each_reply_computes_one_best_response(monkeypatch):
+    """An agent's first reply of an interval creates its own entry from the
+    best response it computes anyway: one `choose_best_schedule` per
+    `respond` or `initiate`."""
+    calls = dict.fromkeys(["choose_best_schedule", "respond", "initiate"], 0)
+    for owner, name in ((neg, "choose_best_schedule"), (neg.NegotiationAgent, "respond"),
+                        (neg.NegotiationAgent, "initiate")):
+        def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    run_scenario(generate_default_scenario(seed=1))
+    assert calls["choose_best_schedule"] == calls["respond"] + calls["initiate"] > 0
+
+
+@pytest.mark.parametrize("controller", ["None", "Centralized", "Decentralized", "MultiLeveled"])
+def test_the_queue_drains_within_each_interval(monkeypatch, controller):
+    """Every negotiation episode and every control sub-phase starts and ends
+    with an empty kernel queue, so each message is delivered in the interval
+    that `Kernel.send` stamped on it."""
+    phases = []
+
+    def drained(name, original, kernel_of):
+        def wrapper(*args, **kwargs):
+            kernel = kernel_of(args)
+            start = len(kernel.trace.events)
+            assert kernel.queue_empty, f"{name} starts with messages in flight"
+            result = original(*args, **kwargs)
+            assert kernel.queue_empty, f"{name} ends with messages in flight"
+            assert {e.message.interval for e in kernel.trace.events[start:]} <= \
+                {kernel.current_interval}
+            phases.append(name)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(neg, "run_negotiation",
+                        drained("negotiation", neg.run_negotiation, lambda args: args[1]))
+    monkeypatch.setattr(Simulation, "_apply_control",
+                        drained("control", Simulation._apply_control, lambda args: args[0].kernel))
+    cfg = dataclasses.replace(generate_default_scenario(seed=1), controller_arch=controller)
+    run_scenario(cfg)
+    assert phases.count("negotiation") == cfg.num_intervals
+    assert phases.count("control") == (controller != "None")
+
+
+_on_grid = st.integers(-12, 12).map(lambda i: i * SETPOINT_GRID)
+
+
+@st.composite
+def _small_scenarios(draw):
+    """A small scenario with any observer, level and controller, any attack
+    on and off the setpoint grid, any compromised agent or none, and any
+    delays, degree and rewiring that validation may accept."""
+    n_agents = draw(st.integers(5, 9))
+    base = generate_default_scenario(draw(st.integers(1, 10**6)), n_agents)
+    num_intervals = draw(st.integers(8, 14))
+    incident = draw(st.integers(obs.MIN_TRAINING_INTERVALS, num_intervals - 2))
+    slots = base.intervals_per_negotiation
+    attack = dataclasses.replace(
+        base.attack, mode=draw(st.sampled_from(ATTACK_MODES)),
+        scale_factor=draw(st.sampled_from([-1.0, 0.0, 2.0, 3.0]) | st.floats(-4, 4)),
+        offset_kw=draw(_on_grid | st.floats(-3, 3)),
+        replacement=tuple(draw(st.lists(_on_grid | st.floats(-5, 5),
+                                        min_size=slots, max_size=slots))),
+        active_from_interval=draw(st.sampled_from([incident, num_intervals])))
+    # no compromised agent, a battery (every fourth unit from the third), or any agent
+    compromised = draw(st.none() | st.sampled_from(range(2, n_agents, 4))
+                       | st.integers(0, n_agents - 1))
+    agents = [dataclasses.replace(a, is_compromised=i == compromised)
+              for i, a in enumerate(base.agents)]
+    min_ticks = draw(st.integers(0, 5))
+    return dataclasses.replace(
+        base, num_intervals=num_intervals, agents=agents, attack=attack,
+        incident_interval=incident,
+        control_interval=draw(st.integers(incident + 1, num_intervals - 1)),
+        observer_arch=draw(st.sampled_from(OBSERVER_ARCHS)), info_level=draw(st.integers(1, 4)),
+        controller_arch=draw(st.sampled_from(CONTROLLER_ARCHS)),
+        delay_model=dataclasses.replace(base.delay_model, min_ticks=min_ticks,
+                                        max_ticks=draw(st.integers(min_ticks, 5))),
+        topology_params=dataclasses.replace(base.topology_params, k=draw(st.sampled_from([2, 4])),
+                                            rewire_probability=draw(st.floats(0, 1))))
+
+
+@given(_small_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_scenario_runs(cfg):
+    """A scenario that validation accepts runs to its end, or fails only with
+    the documented runtime faults (exit 3 of `ocsim run`)."""
+    assume(not validate_scenario(cfg))
+    try:
+        result = run_scenario(cfg)
+    except (NonConvergenceError, obs.InsufficientTrainingError):
+        return
+    assert len(result.records) == cfg.num_intervals
 
 
 @pytest.mark.parametrize("controller", ["Decentralized", "MultiLeveled"])
