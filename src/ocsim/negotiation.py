@@ -50,6 +50,22 @@ class WorkingMemory:
     # never mutated, so it is its own wire form (see encode_memory)
     entries: dict = field(default_factory=dict)
     best_candidate: Candidate | None = None
+    # per-slot running sum of the entries' values, kept only where each value
+    # is a multiple of 0.25 kW and each sum stays below 2**51 kW in magnitude
+    # (runner.exact_sums); None: sum the entries in order when needed. Such
+    # sums are exact in any order, so they equal aggregate_of(entries) bit
+    # for bit. A float sum or difference is -0.0 only if its left operand is,
+    # so neither, begun at +0.0, is ever -0.0. A list is replaced, never
+    # mutated.
+    sums: list | None = None
+
+    def put(self, aid, entry):
+        """Set the entry of `aid`, keeping the sums."""
+        old = self.entries.get(aid)
+        self.entries[aid] = entry
+        if self.sums is not None:
+            kept = self.sums if old is None else map(sub, self.sums, old["values"])
+            self.sums = list(map(add, kept, entry["values"]))
 
 
 def candidate_key(candidate: Candidate):
@@ -86,14 +102,13 @@ def merge_memories(local: WorkingMemory, received: WorkingMemory):
     candidate_better. Returns (local, changed). `received` may be shared by
     several receivers: it is only read, and its entries and candidate are
     adopted as they are (neither is ever mutated)."""
-    entries = local.entries
-    get = entries.get
+    get = local.entries.get
     changed = False
     for aid, entry in received.entries.items():
         cur = get(aid)
         # most received entries are the very dicts the receiver holds
         if cur is not entry and (cur is None or entry["revision"] > cur["revision"]):
-            entries[aid] = entry
+            local.put(aid, entry)
             changed = True
     if candidate_better(received.best_candidate, local.best_candidate):
         local.best_candidate = received.best_candidate
@@ -122,6 +137,7 @@ class NegotiationAgent:
         self.neighbors = set()
         self.topology_generation = 0
         self.blacklist = set()
+        self.exact_sums = False  # keep running sums (set per run by the runner)
         self.memory = WorkingMemory()
         self._jitter = {}
         self.dirty = False  # merged new information, response still pending
@@ -153,8 +169,11 @@ class NegotiationAgent:
         self.feasible_set = set(feasible)
 
     # --- episode protocol ---
+    def _fresh_memory(self):
+        return WorkingMemory(sums=[0.0] * len(self.target) if self.exact_sums else None)
+
     def reset_for_interval(self, jitter_by_unit=None):
-        self.memory = WorkingMemory()
+        self.memory = self._fresh_memory()
         self.dirty = False
         if jitter_by_unit is not None:
             self._jitter = jitter_by_unit  # the caller's, never mutated
@@ -222,7 +241,9 @@ class NegotiationAgent:
             return False
         self.blacklist.add(suspect)
         self.neighbors.discard(suspect)
-        self.memory.entries.pop(suspect, None)
+        gone = self.memory.entries.pop(suspect, None)
+        if gone is not None and self.memory.sums is not None:
+            self.memory.sums = list(map(sub, self.memory.sums, gone["values"]))
         best = self.memory.best_candidate
         if best is not None and suspect in best.assignment:
             assignment = {a: v for a, v in best.assignment.items() if a != suspect}
@@ -239,10 +260,10 @@ class NegotiationAgent:
         """Drop the working memory and re-negotiate from the own entry, its
         revision bumped so peers take the restart seriously."""
         own = self.memory.entries.get(self.agent_id)
-        self.memory = WorkingMemory()
+        self.memory = self._fresh_memory()
         if own is not None:
-            self.memory.entries[self.agent_id] = {"values": own["values"],
-                                                  "revision": own["revision"] + 1}
+            self.memory.put(self.agent_id,
+                            {"values": own["values"], "revision": own["revision"] + 1})
         self.dirty = True
 
     def adopt_topology(self, generation, neighbors, excluded):
@@ -267,8 +288,8 @@ class NegotiationAgent:
     def _set_own(self, values):
         cur = self.memory.entries[self.agent_id]
         if tuple(values) != cur["values"]:
-            self.memory.entries[self.agent_id] = {"values": tuple(values),
-                                                  "revision": cur["revision"] + 1}
+            self.memory.put(self.agent_id,
+                            {"values": tuple(values), "revision": cur["revision"] + 1})
 
     def _best_respond(self, kernel):
         """Build a candidate from the current system view plus own best
@@ -276,19 +297,39 @@ class NegotiationAgent:
         commitment to the best candidate. The commitment only moves with a
         candidate improvement, so episodes quiesce without ping-pong, and a
         candidate value outside the feasible set (corrupted gossip) is never
-        adopted as the own commitment."""
-        idx = choose_best_schedule(self.feasible, self._others_aggregate(), self.target)
-        entries = self.memory.entries
-        if self.agent_id not in entries:  # a first reply commits to its best response
-            entries[self.agent_id] = {"values": self.feasible[idx], "revision": 0}
-        assignment = {aid: entry["values"] for aid, entry in entries.items()}
-        assignment[self.agent_id] = self.feasible[idx]
-        agg = aggregate_of(assignment, len(self.target))
-        cand = Candidate(assignment, objective(agg, self.target),
-                         stamp=(kernel.clock, self.agent_id))
-        if candidate_better(cand, self.memory.best_candidate):
-            self.memory.best_candidate = cand
-        best_own = self.memory.best_candidate.assignment.get(self.agent_id)
+        adopted as the own commitment.
+
+        With running sums the others' aggregate is the sums minus the own
+        values, and the candidate's aggregate is that plus the chosen
+        schedule, exact and so equal to the ordered sums (see WorkingMemory).
+        A candidate that covers fewer agents than the best one, or as many
+        at a higher objective, cannot win (candidate_better): it is not built."""
+        memory = self.memory
+        entries = memory.entries
+        own = entries.get(self.agent_id)
+        if memory.sums is None:
+            others = self._others_aggregate()
+        elif own is None:
+            others = memory.sums
+        else:
+            others = list(map(sub, memory.sums, own["values"]))
+        chosen = self.feasible[choose_best_schedule(self.feasible, others, self.target)]
+        if own is None:  # a first reply commits to its best response
+            memory.put(self.agent_id, {"values": chosen, "revision": 0})
+        best, obj = memory.best_candidate, None  # None: the ordered sum, below
+        if memory.sums is not None:
+            obj = objective(list(map(add, others, chosen)), self.target)
+        # one covering fewer agents, or as many at a higher objective, cannot win
+        if obj is None or best is None or \
+                (len(best.assignment), obj) <= (len(entries), best.objective):
+            assignment = {aid: entry["values"] for aid, entry in entries.items()}
+            assignment[self.agent_id] = chosen
+            if obj is None:
+                obj = objective(aggregate_of(assignment, len(self.target)), self.target)
+            cand = Candidate(assignment, obj, stamp=(kernel.clock, self.agent_id))
+            if candidate_better(cand, best):
+                memory.best_candidate = cand
+        best_own = memory.best_candidate.assignment.get(self.agent_id)
         if best_own is not None and tuple(best_own) in self.feasible_set:
             self._set_own(best_own)
 

@@ -12,6 +12,7 @@ import functools
 import gc
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import attack as attack_mod
 from . import controller as ctrl
@@ -19,7 +20,7 @@ from . import negotiation as neg
 from . import observer as obs
 from .kernel import DEFAULT_TICK_CAP, Kernel
 from .metrics import IntervalRecord, classify_phase, compute_margins, evaluate_run
-from .model import ScenarioConfig, validate_scenario
+from .model import SETPOINT_GRID, ScenarioConfig, validate_scenario
 from .topology import build_small_world
 
 # convergence durations are reported at the metrics pipeline's telemetry
@@ -29,6 +30,34 @@ CONVERGENCE_RESOLUTION = 12
 
 def _report_duration(raw_ticks: int) -> int:
     return -(-raw_ticks // CONVERGENCE_RESOLUTION) * CONVERGENCE_RESOLUTION
+
+
+def _on_grid(value) -> bool:
+    return float(value / SETPOINT_GRID).is_integer()
+
+
+def exact_sums(config: ScenarioConfig) -> bool:
+    """Whether the agents may keep running sums (negotiation.WorkingMemory):
+    honest values are on the grid (`_rebuild_feasible` quantizes them), and
+    wire values are under an integer `Scale`, an `Offset` or `Replace` on
+    the grid, or an attack that never falsifies; all sums stay below 2**51 kW."""
+    at = config.attack
+    # one slot of all agents: each unit's largest value, jittered by up to
+    # 12% and rounded to the grid
+    honest = sum(2 * max(map(abs, chain(*spec.unit.feasible_schedules))) + 1
+                 for spec in config.agents)
+    if (at.active_from_interval >= config.num_intervals
+            or not any(spec.is_compromised for spec in config.agents)):
+        wire = 0.0
+    elif at.mode == "Scale" and float(at.scale_factor).is_integer():
+        wire = abs(at.scale_factor) * honest
+    elif at.mode == "Offset" and _on_grid(at.offset_kw):
+        wire = honest + abs(at.offset_kw)
+    elif at.mode == "Replace" and all(map(_on_grid, at.replacement)):
+        wire = max(map(abs, at.replacement))
+    else:
+        return False
+    return 4 * (honest + wire) < 2 ** 51  # a swap takes one value out, one in
 
 
 @dataclass
@@ -102,8 +131,10 @@ class Simulation:
 
         self.agents = {}
         self.unit_types = {}
+        exact = exact_sums(config)
         for spec in config.agents:
             agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target)
+            agent.exact_sums = exact
             agent.react_lag = random.Random(
                 f"ocsim-react:{config.seed}:{spec.agent_id}").randint(8, 64)
             self.agents[spec.agent_id] = agent

@@ -43,6 +43,15 @@ LARGE_RUN_DIGESTS = {
     "trace.jsonl": "3b5c6864d53707d06ec337d3af03567320d2c44e5ad7da8e937d761ecfe4acb3",
 }
 
+# artifact -> SHA-256 of cli.execute_run under Centralized control with the
+# attack's scale at 2.7: the falsified values leave the setpoint grid, so the
+# agents sum their working memories in order (runner.exact_sums)
+OFF_GRID_DIGESTS = {
+    "records.csv": "30bf929e66b4d3e40e7f2feabd6d6550906a5a63f18be819b0a8f40868368c3f",
+    "evaluation.json": "1605a98beb7943af74f90689807a78cbc96c95dae198cd0250ff054199c1302a",
+    "trace.jsonl": "c41d49fedea48f8d3cf365ac905e02b2ca5993ebba865dd5c5ee157d7a64ba44",
+}
+
 # SHA-256 of an empty report list: nothing was flagged
 NO_REPORTS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
 
@@ -89,9 +98,12 @@ def _file_digest(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def artifact_digests(controller, out_dir, n_agents=8):
+def artifact_digests(controller, out_dir, n_agents=8, scale_factor=None):
     cfg = dataclasses.replace(generate_default_scenario(seed=1, n_agents=n_agents),
                               controller_arch=controller)
+    if scale_factor is not None:
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
+                                                                  scale_factor=scale_factor))
     execute_run(cfg, str(out_dir))
     return {name: _file_digest(out_dir / name) for name in ARTIFACT_DIGESTS[controller]}
 
@@ -126,6 +138,10 @@ def test_run_artifacts_match_their_golden_digests(controller, tmp_path):
 
 def test_a_16_agent_run_matches_its_golden_digests(tmp_path):
     assert artifact_digests("Centralized", tmp_path, n_agents=16) == LARGE_RUN_DIGESTS
+
+
+def test_an_off_grid_attack_run_matches_its_golden_digests(tmp_path):
+    assert artifact_digests("Centralized", tmp_path, scale_factor=2.7) == OFF_GRID_DIGESTS
 
 
 @pytest.mark.parametrize("level,tampered", sorted(REPORT_DIGESTS))

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,48 @@ def test_restart_keeps_only_the_own_entry_with_its_revision_bumped():
     assert agent.memory.best_candidate is None
     assert agent.dirty
     assert own == {"values": values, "revision": revision}  # the sent entry is not mutated
+
+
+# values on the setpoint grid, negative zero among them
+_grid_values = st.lists(st.integers(-40, 40).map(lambda i: i * 0.25) | st.just(-0.0),
+                        min_size=SLOTS, max_size=SLOTS).map(tuple)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("merge"), st.sampled_from("abcde"), _grid_values, st.integers(0, 3)),
+    st.tuples(st.just("respond")),
+    st.tuples(st.just("set_own"), st.integers(0, 3)),
+    st.tuples(st.just("restart")),
+    st.tuples(st.just("exclude"), st.sampled_from("bcde"))), max_size=40)
+
+
+@given(st.lists(_grid_values, min_size=1, max_size=4), _steps)
+@settings(max_examples=200)
+def test_running_sums_are_the_ordered_sum_of_the_entries(schedules, steps):
+    """Whatever merges, own-entry updates, restarts and exclusions an agent
+    goes through, the running sums of its memory equal the ordered sum of
+    its entries exactly, and no slot is -0.0."""
+    unit = UnitModel(unit_id="u-a", unit_type="Household", feasible_schedules=schedules)
+    agent = neg.NegotiationAgent("a", unit, [0.0] * SLOTS)
+    agent.exact_sums = True
+    agent.reset_for_interval({})
+    kernel = SimpleNamespace(clock=0)
+    for step in steps:
+        if step[0] == "merge":
+            _, aid, values, revision = step
+            neg.merge_memories(agent.memory, neg.WorkingMemory(
+                entries={aid: {"values": values, "revision": revision}}))
+        elif step[0] == "respond":
+            kernel.clock += 1
+            agent._best_respond(kernel)
+        elif step[0] == "set_own" and "a" in agent.memory.entries:
+            agent._set_own(agent.feasible[step[1] % len(agent.feasible)])
+        elif step[0] == "restart":
+            agent.restart()
+        elif step[0] == "exclude":
+            agent.exclude_local(step[1])
+        sums = agent.memory.sums
+        entries = agent.memory.entries
+        assert sums == neg.aggregate_of({a: e["values"] for a, e in entries.items()}, SLOTS)
+        assert all(math.copysign(1.0, s) == 1.0 for s in sums if s == 0)
 
 
 def test_jitter_scales_and_requantizes_feasible_set():

@@ -5,15 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ocsim import negotiation as neg
 from ocsim import observer as obs
+from ocsim import runner
 from ocsim.kernel import Message, NonConvergenceError, TraceEvent
 from ocsim.metrics import classify_phase
 from ocsim.model import (ATTACK_MODES, CONTROLLER_ARCHS, OBSERVER_ARCHS, SETPOINT_GRID,
-                         generate_default_scenario, validate_scenario)
-from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, run_scenario
+                         AttackConfig, generate_default_scenario, validate_scenario)
+from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, exact_sums, run_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import digest_result  # noqa: E402
@@ -382,6 +383,102 @@ def test_every_accepted_scenario_runs(cfg):
     except (NonConvergenceError, obs.InsufficientTrainingError):
         return
     assert len(result.records) == cfg.num_intervals
+
+
+def _outcome(cfg):
+    try:
+        return digest_result(run_scenario(cfg))
+    except (NonConvergenceError, obs.InsufficientTrainingError) as e:
+        return repr(e)
+
+
+def _ordered_outcome(cfg):
+    """The outcome of `cfg` with every working memory summed in order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "exact_sums", lambda config: False)
+        return _outcome(cfg)
+
+
+def _with_attack(cfg, **attack):
+    return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, **attack))
+
+
+# seeds 1-3 under Centralized control, falsified off the setpoint grid
+OFF_GRID_ATTACKS = [{"mode": "Scale", "scale_factor": 2.7}, {"mode": "Offset", "offset_kw": 0.1}]
+
+
+def _off_grid_run(seed, attack):
+    base = dataclasses.replace(generate_default_scenario(seed), num_intervals=30,
+                               incident_interval=10, control_interval=20,
+                               controller_arch="Centralized")
+    return _with_attack(base, active_from_interval=10, **attack)
+
+
+def _off_grid_examples(test):
+    for seed in (1, 2, 3):
+        for attack in OFF_GRID_ATTACKS:
+            test = example(_off_grid_run(seed, attack))(test)
+    return test
+
+
+@_off_grid_examples
+@given(_small_scenarios())
+@settings(max_examples=70, deadline=None)
+def test_running_sums_leave_every_run_as_the_ordered_sums_do(cfg):
+    """Whichever way the grid gate decides, a run ends exactly as it does
+    with every working memory summed in order."""
+    assume(not validate_scenario(cfg))
+    assert _outcome(cfg) == _ordered_outcome(cfg)
+
+
+@pytest.mark.parametrize("attack", OFF_GRID_ATTACKS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_off_grid_examples_take_the_ordered_sums(seed, attack):
+    """Falsified values off the setpoint grid would round differently in
+    running sums, so the property's explicit examples run on ordered sums."""
+    assert not exact_sums(_off_grid_run(seed, attack))
+
+
+@pytest.mark.parametrize("attack,exact", [
+    (AttackConfig(mode="Scale", scale_factor=3.0), True),
+    (AttackConfig(mode="Scale", scale_factor=-2.0), True),
+    (AttackConfig(mode="Scale", scale_factor=0.0), True),
+    (AttackConfig(mode="Scale", scale_factor=2.7), False),
+    (AttackConfig(mode="Offset", offset_kw=1.5), True),
+    (AttackConfig(mode="Offset", offset_kw=0.1), False),
+    (AttackConfig(mode="Replace", replacement=(9.0, -0.25, 0.0, 1.75)), True),
+    (AttackConfig(mode="Replace", replacement=(9.0, -0.3, 0.0, 1.75)), False),
+    (AttackConfig(mode="Scale", scale_factor=2.0 ** 60), False),
+])
+def test_the_grid_gate_keeps_running_sums_only_where_every_sum_is_exact(attack, exact):
+    cfg = generate_default_scenario(seed=1)
+    assert exact_sums(dataclasses.replace(cfg, attack=attack)) is exact
+
+
+def test_an_attack_that_never_falsifies_keeps_running_sums():
+    """Off-grid attack parameters do not matter when no agent is compromised
+    or the attack starts at `num_intervals`."""
+    cfg = _with_attack(generate_default_scenario(seed=1), scale_factor=2.7)
+    assert not exact_sums(cfg)
+    assert exact_sums(_with_attack(cfg, active_from_interval=cfg.num_intervals))
+    honest = [dataclasses.replace(a, is_compromised=False) for a in cfg.agents]
+    assert exact_sums(dataclasses.replace(cfg, agents=honest))
+
+
+@pytest.mark.parametrize("scale_factor,exact", [(3.0, True), (2.7, False)])
+def test_on_grid_runs_never_sum_the_others_in_order(monkeypatch, scale_factor, exact):
+    """On the grid a reply takes the others' aggregate from the running sums;
+    off it, every `respond` or `initiate` sums the others in order once."""
+    calls = dict.fromkeys(["_others_aggregate", "respond", "initiate"], 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(neg.NegotiationAgent, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(neg.NegotiationAgent, name, counting)
+    run_scenario(_with_attack(generate_default_scenario(seed=1), scale_factor=scale_factor))
+    replies = calls["respond"] + calls["initiate"]
+    assert replies > 0
+    assert calls["_others_aggregate"] == (0 if exact else replies)
 
 
 @pytest.mark.parametrize("controller", ["Decentralized", "MultiLeveled"])
