@@ -108,7 +108,8 @@ def cmd_run(args) -> int:
 
 
 def _parse_list(value, cast=str):
-    return [cast(x) for x in value.split(",") if x] if value else []
+    """The distinct values of a comma-separated list, in order of first mention."""
+    return list(dict.fromkeys(cast(x) for x in value.split(",") if x)) if value else []
 
 
 def cmd_sweep(args) -> int:

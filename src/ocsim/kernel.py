@@ -59,8 +59,7 @@ class EventTrace:
 
 
 class Kernel:
-    def __init__(self, seed, delay_min: int = 1, delay_max: int = 3,
-                 tick_cap: int = DEFAULT_TICK_CAP):
+    def __init__(self, seed, delay_min: int, delay_max: int, tick_cap: int = DEFAULT_TICK_CAP):
         if delay_max < delay_min:
             raise ValueError(f"empty delay range [{delay_min}, {delay_max}]")
         self.clock = 0
@@ -102,8 +101,8 @@ class Kernel:
         if delay is None:
             delay = self.delay_min + drawn
         # content is immutable once handed to send(): a compromised agent's
-        # falsified wire view is a copy made before its broadcast, negotiation
-        # decodes each broadcast's content once for all its receivers, and
+        # falsified wire view is a copy made before its broadcast, every
+        # receiver of a broadcast adopts its dicts as they are, and
         # working-memory entries and encoded candidates are shared between
         # broadcasts too, so no defensive copy
         msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,

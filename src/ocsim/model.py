@@ -276,8 +276,9 @@ def generate_default_scenario(seed: int, n_agents: int = 8) -> ScenarioConfig:
     if n_agents < 5:
         raise ValueError(f"n_agents must be >= 5, got {n_agents}")
     rng = random.Random(f"ocsim-scenario:{seed}")
-    slots = 4
-    agents = []
+    config = ScenarioConfig(seed=seed)
+    slots = config.intervals_per_negotiation
+    agents = config.agents
     n_batteries = 0
     for i in range(n_agents):
         unit_type = UNIT_TYPES[i % len(UNIT_TYPES)]
@@ -289,7 +290,7 @@ def generate_default_scenario(seed: int, n_agents: int = 8) -> ScenarioConfig:
         agents.append(AgentSpec(agent_id=f"a{i:02d}", unit=unit))
     candidates = [a for a in agents if a.unit.unit_type != "Battery"]
     rng.choice(candidates).is_compromised = True
-    return ScenarioConfig(seed=seed, agents=agents)
+    return config
 
 
 # --- scenario file round-trip (JSON: key/value + nested lists) ---

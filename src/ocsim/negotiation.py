@@ -133,7 +133,7 @@ class NegotiationAgent:
         self.units = [unit]
         self.feasible = [tuple(s) for s in unit.feasible_schedules]
         self.feasible_set = set(self.feasible)
-        self.target = list(target)
+        self.target = target  # the run's one target, shared by its agents (see forms)
         self.neighbors = set()
         self.topology_generation = 0
         self.blacklist = set()
@@ -192,14 +192,8 @@ class NegotiationAgent:
         if kind == "WorkingMemoryUpdate":
             if msg.sender in self.blacklist:
                 return
-            # one broadcast reaches every neighbor with the same content
-            # object; receivers that drop the same agents share one decode
-            key = (id(content), frozenset(self.blacklist))
-            hit = self.forms.get(key)
-            if hit is None:
-                hit = self.forms[key] = (content, decode_memory(
-                    content, drop=self.blacklist, target=self.target, forms=self.forms))
-            if merge_memories(self.memory, hit[1])[1]:
+            received = decode_memory(content, self.blacklist, target=self.target, forms=self.forms)
+            if merge_memories(self.memory, received)[1]:
                 self.dirty = True
         elif kind == "BlacklistNotice":
             self._notice(kernel, msg.sender, content["suspect"])
@@ -351,14 +345,16 @@ class NegotiationAgent:
 # An entry is its own wire form: a {"values": tuple, "revision": int} dict
 # that is never mutated, so every broadcast carrying it shares it (json writes
 # the tuple as a list). A candidate keeps the wire dict of its first encode in
-# `Candidate.wire`. Only decodes are memoized: `forms` belongs to the interval
-# (run_negotiation clears it), is shared by the agents of one run, which all
-# have the run's one target, and maps
-#   id(wire candidate dict) -> (wire, decoded Candidate),
-#   (id(content), blacklist) -> (content, decoded WorkingMemory).
-# Keys are identities, never values (0.0 == -0.0 and 1 == 1.0 hash alike but
-# serialize differently), and each value holds its key's object, so no id is
-# reused while the memo lives. Sent wire forms are never mutated.
+# `Candidate.wire`. Sent wire forms are never mutated and merge_memories only
+# reads what it receives, so a decode adopts a content's entries dict and a
+# candidate's assignment dict as they are, and copies one only to leave out a
+# dropped agent. The one memo, `forms`, holds candidate decodes: it belongs to
+# the interval (run_negotiation clears it), is shared by the agents of one
+# run, which all hold the run's one target, and maps
+#   id(wire candidate dict) -> (wire, decoded Candidate)
+# for candidates that lose no dropped agent. Keys are identities, never
+# values (0.0 == -0.0 and 1 == 1.0 hash alike but serialize differently), and
+# each value holds its key's object, so no id is reused while the memo lives.
 
 
 def encode_memory(memory: WorkingMemory) -> dict:
@@ -370,13 +366,13 @@ def encode_memory(memory: WorkingMemory) -> dict:
             "best": None if best is None else best.wire}
 
 
-def decode_memory(content: dict, drop=(), *, target, forms=None) -> WorkingMemory:
-    """Working memory of a received content, minus the `drop`ped agents. The
-    entry dicts are adopted as they are; the candidate's objective is
-    recomputed against `target`."""
-    if forms is None:
-        forms = {}
-    entries = {aid: entry for aid, entry in content["entries"].items() if aid not in drop}
+def decode_memory(content: dict, drop=(), *, target, forms) -> WorkingMemory:
+    """Working memory of a received content, minus the `drop`ped agents, to
+    be read only. The entries dict is adopted as it is unless it holds a
+    dropped agent; the candidate's objective is recomputed against `target`."""
+    entries = content["entries"]
+    if not entries.keys().isdisjoint(drop):
+        entries = {aid: entry for aid, entry in entries.items() if aid not in drop}
     return WorkingMemory(entries=entries,
                          best_candidate=_decode_candidate(content["best"], drop, target, forms))
 
@@ -384,11 +380,13 @@ def decode_memory(content: dict, drop=(), *, target, forms=None) -> WorkingMemor
 def _decode_candidate(raw, drop, target, forms):
     if raw is None:
         return None
-    # a candidate losing dropped agents is decoded anew for each blacklist
-    shared = not any(aid in raw["assignment"] for aid in drop)
+    assignment = raw["assignment"]
+    # a candidate losing dropped agents is decoded anew for each receiver
+    shared = assignment.keys().isdisjoint(drop)
     if shared and id(raw) in forms:
         return forms[id(raw)][1]
-    assignment = {aid: v for aid, v in raw["assignment"].items() if aid not in drop}
+    if not shared:
+        assignment = {aid: v for aid, v in assignment.items() if aid not in drop}
     if not assignment:
         return None
     # never trust the claimed objective: recompute from the assignment, so a

@@ -187,6 +187,25 @@ def test_sweep_runs_the_matrix_and_summarizes(tmp_path, scenario_file, capsys):
     assert "2 cells" in capsys.readouterr().out
 
 
+def test_sweep_runs_each_distinct_cell_once(tmp_path, scenario_file, monkeypatch, capsys):
+    runs = []
+    execute_run = cli.execute_run
+
+    def counting(config, out_dir, **kwargs):
+        runs.append(out_dir)
+        return execute_run(config, out_dir, **kwargs)
+
+    monkeypatch.setattr(cli, "execute_run", counting)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--observer", "MultiLeveled,MultiLeveled", "--level", "2,2,02",
+                 "--controller", "None,None"]) == 0
+    assert runs == [str(out / "MultiLeveled-L2-None")]
+    with open(out / "summary.csv", newline="") as f:
+        assert [row["cell"] for row in csv.DictReader(f)] == ["MultiLeveled-L2-None"]
+    assert "1 cells" in capsys.readouterr().out
+
+
 def test_summary_quotes_a_failure_message_holding_a_comma(tmp_path, scenario_file):
     out = tmp_path / "sweep,1"
     blocked = {}

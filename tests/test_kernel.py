@@ -13,8 +13,8 @@ from ocsim.observer import Observation
 from ocsim.runner import Simulation
 
 
-def _make_kernel(seed=1, **kwargs):
-    return Kernel(seed, **kwargs)
+def _make_kernel(seed=1, delay_min=1, delay_max=3, **kwargs):
+    return Kernel(seed, delay_min, delay_max, **kwargs)
 
 
 def test_delivery_order_is_tick_then_msg_id():

@@ -161,7 +161,7 @@ def test_encode_decode_round_trip():
                          stamp=(7, "a"))
     mem = neg.WorkingMemory(entries={"a": _entry(1.0, 2), "b": _entry(-1.0, 0)},
                             best_candidate=cand)
-    back = neg.decode_memory(neg.encode_memory(mem), target=[0.0] * SLOTS)
+    back = neg.decode_memory(neg.encode_memory(mem), target=[0.0] * SLOTS, forms={})
     assert back.entries == mem.entries
     assert back.best_candidate.assignment == cand.assignment
     assert back.best_candidate.stamp == cand.stamp
@@ -173,13 +173,13 @@ def test_decode_recomputes_objective_from_assignment():
     mem = neg.WorkingMemory(entries={"a": _entry(2.0, 0)}, best_candidate=cand)
     content = neg.encode_memory(mem)
     content["best"] = {**content["best"], "objective": 0.0}  # attacker's claim
-    back = neg.decode_memory(content, target=[0.0] * SLOTS)
+    back = neg.decode_memory(content, target=[0.0] * SLOTS, forms={})
     assert back.best_candidate.objective == pytest.approx(2.0 * SLOTS)
 
 
 def test_decoding_a_seen_wire_form_returns_the_entry_it_came_from():
     mem = neg.WorkingMemory(entries={"a": _entry(1.0, 2), "b": _entry(-1.0, 0)})
-    back = neg.decode_memory(neg.encode_memory(mem), target=[0.0] * SLOTS)
+    back = neg.decode_memory(neg.encode_memory(mem), target=[0.0] * SLOTS, forms={})
     assert all(back.entries[aid] is mem.entries[aid] for aid in mem.entries)
 
 
@@ -188,11 +188,26 @@ def test_decoding_adopts_the_received_entry_dicts_as_they_are():
                            "b": {"values": (-1.0,) * SLOTS, "revision": 0},
                            "evil": {"values": (5.0,) * SLOTS, "revision": 1}},
                "best": None}
-    back = neg.decode_memory(content, drop={"evil"}, target=[0.0] * SLOTS)
+    back = neg.decode_memory(content, drop={"evil"}, target=[0.0] * SLOTS, forms={})
     assert set(back.entries) == {"a", "b"}
     assert all(back.entries[aid] is content["entries"][aid] for aid in back.entries)
     assert back.entries is not content["entries"]  # the dropped one stays on the wire
     assert "evil" in content["entries"]
+
+
+def test_a_decode_dropping_no_agent_adopts_the_wire_dicts_as_they_are():
+    cand = neg.Candidate({"a": (1.0,) * SLOTS, "b": (-1.0,) * SLOTS}, 0.0, stamp=(7, "a"))
+    mem = neg.WorkingMemory(entries={"a": _entry(1.0, 2), "b": _entry(-1.0, 0)},
+                            best_candidate=cand)
+    content = neg.encode_memory(mem)
+    for drop in ((), {"outsider"}):
+        back = neg.decode_memory(content, drop, target=[0.0] * SLOTS, forms={})
+        assert back.entries is content["entries"]
+        assert back.best_candidate.assignment is content["best"]["assignment"]
+    back = neg.decode_memory(content, {"b"}, target=[0.0] * SLOTS, forms={})
+    assert back.entries == {"a": mem.entries["a"]}
+    assert back.best_candidate.assignment == {"a": (1.0,) * SLOTS}
+    assert set(content["entries"]) == set(content["best"]["assignment"]) == {"a", "b"}
 
 
 def test_a_decoded_candidate_with_a_wrong_claim_is_re_encoded_with_the_recomputed_objective():
@@ -214,7 +229,7 @@ def test_entries_holding_zero_and_negative_zero_keep_their_own_wire_forms():
     # (0.0,) == (-0.0,) and both hash alike, but they serialize differently
     mem = neg.WorkingMemory(entries={"a": _entry(0.0, 0), "b": _entry(-0.0, 0)})
     content = neg.encode_memory(mem)
-    again = neg.encode_memory(neg.decode_memory(content, target=[0.0] * SLOTS))
+    again = neg.encode_memory(neg.decode_memory(content, target=[0.0] * SLOTS, forms={}))
     for wire in (content, again):
         assert json.dumps(wire["entries"]["a"]["values"]) == json.dumps([0.0] * SLOTS)
         assert json.dumps(wire["entries"]["b"]["values"]) == json.dumps([-0.0] * SLOTS)
@@ -222,7 +237,8 @@ def test_entries_holding_zero_and_negative_zero_keep_their_own_wire_forms():
 
 def test_decode_drops_blacklisted_entries():
     mem = neg.WorkingMemory(entries={"a": _entry(1.0, 0), "evil": _entry(5.0, 0)})
-    back = neg.decode_memory(neg.encode_memory(mem), drop={"evil"}, target=[0.0] * SLOTS)
+    back = neg.decode_memory(neg.encode_memory(mem), drop={"evil"}, target=[0.0] * SLOTS,
+                             forms={})
     assert set(back.entries) == {"a"}
 
 
@@ -396,28 +412,107 @@ def test_no_wire_form_outlives_its_interval():
     assert all(not agent.forms for agent in agents.values())
 
 
-def test_receivers_with_different_blacklists_never_share_a_decode(monkeypatch):
+def test_receivers_share_a_candidate_decode_unless_they_drop_an_agent_of_it():
     kernel, agents, ids, _ = _community(seed=2)
     neg.run_negotiation(0, kernel, agents, ids[0])
     content = neg.encode_memory(agents[ids[0]].memory)
     suspect = ids[4]
-    decoded = []
-    decode = neg.decode_memory
-
-    def recording(*args, **kwargs):
-        decoded.append(decode(*args, **kwargs))
-        return decoded[-1]
-
-    monkeypatch.setattr(neg, "decode_memory", recording)
-    wary, a, b = (agents[aid] for aid in ids[1:4])
-    wary.exclude_local(suspect)
-    for receiver in (wary, a, b):
+    assert suspect in content["best"]["assignment"]
+    wary, other_wary, a, b = (agents[aid] for aid in ids[1:4] + ids[5:6])
+    for receiver in (wary, other_wary):
+        receiver.exclude_local(suspect)
+    b.exclude_local("outsider")  # a blacklist that misses every agent of the candidate
+    for receiver in (wary, other_wary, a, b):
         receiver.reset_for_interval()
         receiver.handle(kernel, Message(0, ids[0], receiver.agent_id, 0, 1,
                                         "WorkingMemoryUpdate", content))
-    assert len(decoded) == 2
-    assert suspect not in wary.memory.entries
-    assert suspect not in wary.memory.best_candidate.assignment
+    for receiver in (wary, other_wary):
+        assert suspect not in receiver.memory.entries
+        assert suspect not in receiver.memory.best_candidate.assignment
+        assert receiver.memory.best_candidate is not a.memory.best_candidate
+    assert wary.memory.best_candidate is not other_wary.memory.best_candidate
     assert suspect in a.memory.entries and suspect in b.memory.entries
     assert a.memory.best_candidate is b.memory.best_candidate
-    assert wary.memory.best_candidate is not a.memory.best_candidate
+    assert a.memory.best_candidate.assignment is content["best"]["assignment"]
+    assert suspect in content["entries"]  # the wire form keeps what a receiver drops
+
+
+# --- the decode oracle: a plain, copying decode as the spec ---
+
+def _copying_decode(content, drop, *, target, forms):
+    """Decode a content the plain way: copy the entries and the candidate's
+    assignment every time, and memoize a candidate's decode only where it
+    loses no dropped agent."""
+    entries = {aid: entry for aid, entry in content["entries"].items() if aid not in drop}
+    raw, best = content["best"], None
+    if raw is not None:
+        shared = not any(aid in raw["assignment"] for aid in drop)
+        assignment = {aid: v for aid, v in raw["assignment"].items() if aid not in drop}
+        if shared and id(raw) in forms:
+            best = forms[id(raw)][1]
+        elif assignment:
+            best = neg.Candidate(assignment, neg.objective(
+                neg.aggregate_of(assignment, len(target)), target), stamp=raw["stamp"])
+            if shared:
+                forms[id(raw)] = (raw, best)
+                if repr(best.objective) == repr(raw["objective"]):
+                    best.wire = raw
+    return neg.WorkingMemory(entries=entries, best_candidate=best)
+
+
+ORACLE_IDS = ["a0", "a1", "a2", "a3", "a4"]
+# 0.0 and -0.0, on and off the setpoint grid
+wire_values = st.tuples(*[st.sampled_from([0.0, -0.0, 0.25, -1.5, 2.7, 0.1])] * SLOTS)
+
+
+@st.composite
+def _wire_candidates(draw):
+    aids = sorted(draw(st.sets(st.sampled_from(ORACLE_IDS), min_size=1)))
+    assignment = {aid: draw(wire_values) for aid in aids}
+    claim = neg.objective(neg.aggregate_of(assignment, SLOTS), [0.0] * SLOTS)
+    return {"assignment": assignment, "stamp": (draw(st.integers(0, 3)), aids[0]),
+            # an honest claim, or a wrong one
+            "objective": draw(st.sampled_from([claim, -0.0, 0.0, 1.0]))}
+
+
+@st.composite
+def _deliveries(draw):
+    """Contents that share entry and candidate dicts, as broadcasts do, and
+    the (content, drop set) of each delivery in turn; a drop set may hit the
+    content, miss it, or be empty."""
+    entries = draw(st.lists(st.builds(lambda v, r: {"values": v, "revision": r},
+                                      wire_values, st.integers(0, 2)), min_size=1))
+    candidates = draw(st.lists(_wire_candidates(), max_size=3))
+    contents = []
+    for _ in range(draw(st.integers(1, 4))):
+        aids = sorted(draw(st.sets(st.sampled_from(ORACLE_IDS))))
+        contents.append({"entries": {aid: draw(st.sampled_from(entries)) for aid in aids},
+                         "best": draw(st.sampled_from([None] + candidates))})
+    drops = st.sets(st.sampled_from(ORACLE_IDS + ["outsider"]), max_size=2)
+    return [(draw(st.sampled_from(contents)), draw(drops))
+            for _ in range(draw(st.integers(1, 8)))]
+
+
+def _decode_view(memory, forms):
+    """Everything a decode hands on: its entries (order and identity), its
+    candidate (exact floats, stamp, wire, whether the memo holds it) and the
+    memo's contents."""
+    best = memory.best_candidate
+    if best is not None:
+        memoized = any(c is best for _, c in forms.values())
+        best = (repr(list(best.assignment.items())), repr(best.objective), best.stamp,
+                id(best.wire), memoized)
+    memo = {key: (id(raw), repr(list(c.assignment.items())), repr(c.objective), id(c.wire))
+            for key, (raw, c) in forms.items()}
+    return [(aid, id(entry)) for aid, entry in memory.entries.items()], best, memo
+
+
+@given(_deliveries())
+@settings(max_examples=300)
+def test_decoding_matches_the_copying_reference(deliveries):
+    target = [0.0] * SLOTS
+    forms, reference_forms = {}, {}
+    for content, drop in deliveries:
+        got = neg.decode_memory(content, drop, target=target, forms=forms)
+        want = _copying_decode(content, drop, target=target, forms=reference_forms)
+        assert _decode_view(got, forms) == _decode_view(want, reference_forms)

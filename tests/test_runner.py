@@ -275,18 +275,47 @@ def test_no_wire_form_memo_outlives_the_run(controller):
     assert all(not agent.forms for agent in result.agents.values())
 
 
-def test_each_broadcast_is_decoded_at_most_once(monkeypatch):
-    """All receivers of a broadcast share one decode, the compromised agent's
-    falsified broadcasts included."""
-    calls = {"decode_memory": 0, "encode_memory": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(neg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(neg, name, counting)
-    run_scenario(generate_default_scenario(seed=1))
-    # one encode_memory per broadcast
-    assert 0 < calls["decode_memory"] <= calls["encode_memory"]
+def test_every_agent_holds_the_runs_one_target():
+    """The candidate memo leaves the target out of its key: every agent
+    recomputes objectives against the same list."""
+    sim = Simulation(generate_default_scenario(seed=1))
+    assert all(agent.target is sim.target for agent in sim.agents.values())
+
+
+def test_a_receiver_copies_a_delivered_update_only_where_it_drops_an_agent(monkeypatch,
+                                                                         decentralized_run):
+    """Every accepted update is decoded on delivery. A receiver whose
+    blacklist misses the content adopts its entries dict, and one that misses
+    the candidate gets the memo's decode of the wire candidate; one that
+    drops an agent gets copies without it. Under decentralized control the
+    receivers' blacklists differ while the blacklist gossip spreads."""
+    decodes = []
+    decode = neg.decode_memory
+
+    def recording(content, drop=(), **kwargs):
+        memory = decode(content, drop, **kwargs)
+        memoized = kwargs["forms"].get(id(content["best"]), (None, None))[1]
+        decodes.append((content, set(drop), memory, memoized))
+        return memory
+
+    monkeypatch.setattr(neg, "decode_memory", recording)
+    result = run_scenario(decentralized_run.config)
+    assert digest_result(result) == digest_result(decentralized_run)
+    hits = 0
+    for content, drop, memory, memoized in decodes:
+        entries, raw = content["entries"], content["best"]
+        if drop.isdisjoint(entries):
+            assert memory.entries is entries
+        else:
+            hits += 1
+            assert list(memory.entries) == [aid for aid in entries if aid not in drop]
+        if raw is not None and drop.isdisjoint(raw["assignment"]):
+            assert memory.best_candidate is memoized
+            assert memory.best_candidate.assignment is raw["assignment"]
+        elif raw is not None:
+            assert memory.best_candidate is not memoized
+            assert drop.isdisjoint(memory.best_candidate.assignment)
+    assert 0 < hits < len(decodes)
 
 
 def test_each_reply_computes_one_best_response(monkeypatch):
@@ -337,11 +366,18 @@ def test_the_queue_drains_within_each_interval(monkeypatch, controller):
 _on_grid = st.integers(-12, 12).map(lambda i: i * SETPOINT_GRID)
 
 
+# off the setpoint grid and not dyadic either: running sums of values
+# falsified by these round differently from ordered sums
+_inexact = st.sampled_from([2.7, 0.1, -1.3])
+
+
 @st.composite
 def _small_scenarios(draw):
     """A small scenario with any observer, level and controller, any attack
     on and off the setpoint grid, any compromised agent or none, and any
-    delays, degree and rewiring that validation may accept."""
+    delays, degree and rewiring that validation may accept. Most draws
+    falsify a non-battery agent's values off the grid from the incident on,
+    where running sums would change the outputs."""
     n_agents = draw(st.integers(5, 9))
     base = generate_default_scenario(draw(st.integers(1, 10**6)), n_agents)
     num_intervals = draw(st.integers(8, 14))
@@ -349,14 +385,15 @@ def _small_scenarios(draw):
     slots = base.intervals_per_negotiation
     attack = dataclasses.replace(
         base.attack, mode=draw(st.sampled_from(ATTACK_MODES)),
-        scale_factor=draw(st.sampled_from([-1.0, 0.0, 2.0, 3.0]) | st.floats(-4, 4)),
-        offset_kw=draw(_on_grid | st.floats(-3, 3)),
+        scale_factor=draw(_inexact | st.sampled_from([-1.0, 0.0, 2.0, 3.0]) | st.floats(-4, 4)),
+        offset_kw=draw(_inexact | _on_grid | st.floats(-3, 3)),
         replacement=tuple(draw(st.lists(_on_grid | st.floats(-5, 5),
                                         min_size=slots, max_size=slots))),
-        active_from_interval=draw(st.sampled_from([incident, num_intervals])))
-    # no compromised agent, a battery (every fourth unit from the third), or any agent
-    compromised = draw(st.none() | st.sampled_from(range(2, n_agents, 4))
-                       | st.integers(0, n_agents - 1))
+        active_from_interval=draw(st.sampled_from([incident, incident, num_intervals])))
+    # a non-battery agent, no compromised agent, or a battery (every fourth
+    # unit from the third)
+    compromised = draw(st.sampled_from([i for i in range(n_agents) if i % 4 != 2]) | st.none()
+                       | st.sampled_from(range(2, n_agents, 4)))
     agents = [dataclasses.replace(a, is_compromised=i == compromised)
               for i, a in enumerate(base.agents)]
     min_ticks = draw(st.integers(0, 5))
