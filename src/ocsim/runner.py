@@ -75,46 +75,6 @@ class RunResult:
     agents: dict = field(default_factory=dict)
 
 
-class CentralController:
-    """The central controller's endpoint on the bus. It owns the topology it
-    last pushed and its blacklist, acts on the suspect of each escalation
-    report, and logs its actions to the run's one action list."""
-
-    def __init__(self, topology, agents, actions, seed):
-        self.topology = topology
-        self.blacklist = set()
-        self.agents = agents
-        self.actions = actions
-        self.seed = seed
-
-    def handle(self, kernel, msg):
-        if msg.kind == "EscalationReport":
-            self.react(kernel, msg.content["suspect"])
-
-    def react(self, kernel, suspect):
-        suspect_unit = self.agents[suspect].units[0]
-        load = {aid: len(a.units) for aid, a in self.agents.items()}
-        actions = ctrl.centralized_react(suspect, self.topology, self.blacklist, load,
-                                         suspect_unit, tick=kernel.clock, seed=self.seed)
-        self.actions.extend(actions)
-        for action in actions:
-            if action.kind == "TopologyPush":
-                self.topology = action.topology
-                adjacency = {a: sorted(action.topology.neighbors(a))
-                             for a in sorted(action.topology.nodes)}
-                content = {"generation": action.topology.generation,
-                           "adjacency": adjacency, "excluded": sorted(self.blacklist)}
-                for aid in sorted(action.topology.nodes):
-                    kernel.send(ctrl.CENTRAL_ID, aid, "TopologyPush", content)
-            elif action.kind == "TaskReassignment":
-                # custodial handover: the new owner runs the orphaned unit on
-                # its reference schedule; without the unit's local controller
-                # it cannot exploit the full flexibility range
-                kernel.send(ctrl.CENTRAL_ID, action.new_owner, "TaskHandover",
-                            {"unit_id": suspect_unit.unit_id, "unit_type": suspect_unit.unit_type,
-                             "schedules": [list(suspect_unit.feasible_schedules[0])]})
-
-
 class Simulation:
     """One run. Every bus endpoint answers its own messages: the kernel holds
     the bound `handle` of each agent and of the central controller, and none
@@ -130,7 +90,6 @@ class Simulation:
         self.target = [0.0] * config.intervals_per_negotiation  # perfect self-consumption
 
         self.agents = {}
-        self.unit_types = {}
         exact = exact_sums(config)
         for spec in config.agents:
             agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target)
@@ -138,7 +97,6 @@ class Simulation:
             agent.react_lag = random.Random(
                 f"ocsim-react:{config.seed}:{spec.agent_id}").randint(8, 64)
             self.agents[spec.agent_id] = agent
-            self.unit_types[spec.agent_id] = spec.unit.unit_type
             if spec.is_compromised:
                 agent.tamper = functools.partial(attack_mod.tamper, sender=spec.agent_id,
                                                  config=config.attack)
@@ -152,15 +110,16 @@ class Simulation:
         self.kernel = Kernel(config.seed, dm.min_ticks, dm.max_ticks, tick_cap=tick_cap)
         self.reports = []
         self.actions = []
-        self.central = CentralController(topology, self.agents, self.actions, config.seed)
+        self.central = ctrl.CentralController(topology, self.agents, self.actions, config.seed)
         for aid, agent in self.agents.items():
             self.kernel.register(aid, agent.handle)
         self.kernel.register(ctrl.CENTRAL_ID, self.central.handle)
         self.control_tick = None  # set once, when control is applied
         self.gossip_completion_tick = None
         # folds each interval before the incident; finished at the incident
+        unit_types = {spec.agent_id: spec.unit.unit_type for spec in config.agents}
         self._observer = obs.TrainedObserver(config.observer_arch, config.info_level,
-                                             list(self.agents), self.unit_types, config.seed)
+                                             list(self.agents), unit_types, config.seed)
 
     # --- per-interval unit availability ---
 
@@ -204,18 +163,6 @@ class Simulation:
 
     # --- controller ---
 
-    def _select_report(self):
-        """Pick the report to act on. A constraint violation is proof of
-        falsified values; statistical flags may also hit honest agents that
-        legitimately adjusted to the falsified data, so constraint reports
-        take precedence."""
-        return min(self.reports, key=lambda r: (obs.DETECTOR_RANK.get(r.detector, 3),
-                                                r.first_flagged_interval, r.suspect))
-
-    # ticks between a decentralized controller's decision and its first
-    # notices hitting the wire (a processing latency)
-    REACTION_LATENCY = 12
-
     def _apply_control(self, report):
         """A control sub-phase, run to quiescence before the next episode.
         Centralized is a clean cutover: the topology push and task handover.
@@ -229,30 +176,14 @@ class Simulation:
         `kernel.excluded` is the run's blacklist from then on."""
         arch = self.config.controller_arch
         kernel = self.kernel
-        suspect = report.suspect
         self.control_tick = kernel.clock
+        host = self.central.local_host(report.suspect)
         if arch == "Centralized":
-            self.central.react(kernel, suspect)
+            ctrl.centralized_react(kernel, self.central, report.suspect)
+        elif arch == "Decentralized":
+            ctrl.decentralized_react(kernel, host, report.suspect, self.actions)
         else:
-            # the controller co-located with the observer nearest the
-            # anomaly: the suspect's lowest-id neighbor (a validated topology
-            # is connected, so there is one)
-            host = self.agents[min(self.central.topology.neighbors(suspect))]
-            react = (ctrl.decentralized_react if arch == "Decentralized"
-                     else ctrl.multi_leveled_react)
-            actions = react(suspect, host, tick=kernel.clock)
-            self.actions.extend(actions)
-            for action in actions:
-                if action.kind == "BlacklistNotice":
-                    kernel.send(host.agent_id, action.target, "BlacklistNotice",
-                                {"suspect": suspect}, delay=self.REACTION_LATENCY)
-                elif action.kind == "EscalationReport":
-                    kernel.send(host.agent_id, ctrl.CENTRAL_ID, "EscalationReport",
-                                {"suspect": suspect,
-                                 "interval": report.first_flagged_interval,
-                                 "score": report.score,
-                                 "detector": report.detector},
-                                delay=self.REACTION_LATENCY)
+            ctrl.multi_leveled_react(kernel, host, report, self.actions)
         neg.gossip_to_quiescence(kernel, self.agents)
         self.gossip_completion_tick = kernel.clock
         kernel.excluded.update(self.central.blacklist.union(
@@ -275,7 +206,7 @@ class Simulation:
                 trace_start = len(self.kernel.trace.events)
                 if (self.reports and self.control_tick is None
                         and interval >= cfg.control_interval and cfg.controller_arch != "None"):
-                    self._apply_control(self._select_report())
+                    self._apply_control(ctrl.select_report(self.reports))
                 active = sorted(set(self.agents) - self.kernel.excluded)
                 rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
                 initiator = rng.choice(active)

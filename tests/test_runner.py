@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -531,6 +532,41 @@ def test_the_local_reaction_starts_at_the_suspects_lowest_id_neighbor(controller
     result = sim.run()
     assert [(a.issuer, a.target) for a in result.actions if a.kind == "ExcludeLocal"] == \
         [(min(neighbors), compromised)]
+
+
+@pytest.mark.parametrize("controller,kinds", [
+    ("Centralized", {"TopologyPush", "TaskReassignment"}),
+    ("Decentralized", {"ExcludeLocal", "BlacklistNotice"}),
+    ("MultiLeveled", {"ExcludeLocal", "BlacklistNotice", "EscalationReport",
+                      "TopologyPush", "TaskReassignment"}),
+])
+def test_the_action_log_and_the_bus_agree(controller, kinds):
+    """Each logged action is on the bus, sent by its issuer at its issued
+    tick: a topology push to each survivor, a task handover to the new
+    owner, a notice to its target, an escalation to the central controller.
+    No issuer sends a control message at an issued tick without its action.
+    The notices that agents pass on (`NegotiationAgent._notice`) go out
+    later, when they arrive."""
+    result = run_scenario(dataclasses.replace(generate_default_scenario(seed=1),
+                                              controller_arch=controller))
+    assert {a.kind for a in result.actions} == kinds
+    survivors = sorted(set(result.agents) - result.blacklist)
+    expected = Counter()
+    for a in result.actions:
+        if a.kind == "TopologyPush":
+            expected.update((a.issuer, a.issued_tick, "TopologyPush", s) for s in survivors)
+        elif a.kind == "TaskReassignment":
+            expected[(a.issuer, a.issued_tick, "TaskHandover", a.new_owner)] += 1
+        elif a.kind == "BlacklistNotice":
+            expected[(a.issuer, a.issued_tick, "BlacklistNotice", a.target)] += 1
+        elif a.kind == "EscalationReport":
+            expected[(a.issuer, a.issued_tick, "EscalationReport", "central")] += 1
+    issued = {(a.issuer, a.issued_tick) for a in result.actions}
+    control_kinds = {"TopologyPush", "TaskHandover", "BlacklistNotice", "EscalationReport"}
+    sent = Counter((m.sender, m.sent_tick, m.kind, m.receiver)
+                   for m in (e.message for e in result.trace.events)
+                   if m.kind in control_kinds and (m.sender, m.sent_tick) in issued)
+    assert sent == expected
 
 
 @pytest.mark.parametrize("controller", ["Centralized", "Decentralized", "MultiLeveled"])
