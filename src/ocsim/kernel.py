@@ -152,19 +152,24 @@ def export_trace_jsonl(trace: EventTrace, path) -> None:
     """One line per event, with exactly the bytes of
     `json.dumps(record, sort_keys=True)`. A broadcast hands one content
     object to every receiver, so each content is serialized once and spliced
-    in as the first key ("content" sorts first). The memo is keyed by
-    identity, which the trace keeps alive, and is cleared at every new
-    interval so that it holds one interval's strings at a time."""
-    contents, names, interval = {}, {}, None
+    in as the first key ("content" sorts first); a working-memory content is
+    composed from the texts of its entries and candidate (`_content_text`).
+    The memos are keyed by identity, which the trace keeps alive, and are
+    cleared at every new interval so that they hold one interval's strings at
+    a time."""
+    # what json.dumps(o, sort_keys=True) calls, without a new encoder per call
+    encode = json.JSONEncoder(sort_keys=True).encode
+    contents, parts, names, interval = {}, {}, {}, None
     with open(path, "w") as f:
         for e in trace.events:
             m = e.message
             if m.interval != interval:
                 interval = m.interval
                 contents.clear()
+                parts.clear()
             content = contents.get(id(m.content))
             if content is None:
-                content = contents[id(m.content)] = json.dumps(m.content, sort_keys=True)
+                content = contents[id(m.content)] = _content_text(m.content, parts, names, encode)
             for name in (m.sender, m.receiver, m.kind):
                 if name not in names:
                     names[name] = json.dumps(name)
@@ -173,3 +178,36 @@ def export_trace_jsonl(trace: EventTrace, path) -> None:
                     f'"kind": {names[m.kind]}, "msg_id": {m.msg_id}, '
                     f'"receiver": {names[m.receiver]}, "sender": {names[m.sender]}, '
                     f'"sent_tick": {m.sent_tick}}}\n')
+
+
+_MEMORY_KEYS = {"best", "entries"}
+
+
+def _content_text(content, parts, names, encode) -> str:
+    """`encode(content)`. A working-memory content (keys exactly "best" and
+    "entries", an entries dict keyed by str) is composed from its parts:
+    many contents share each entry and candidate object, so `parts` holds
+    one text per object, keyed by its identity. It holds the value's text
+    alone, so an object filed under two keys, or used both as an entry and
+    as a candidate, still gets each key from `names`. The encoder writes a
+    nested dict with the separators, float reprs and sorted key order of a
+    top-level one, so the composed text is the whole-content text."""
+    if type(content) is not dict or content.keys() != _MEMORY_KEYS \
+            or type(content["entries"]) is not dict:
+        return encode(content)
+    texts = []
+    for aid, entry in sorted(content["entries"].items()):
+        if type(aid) is not str:
+            return encode(content)
+        text = parts.get(id(entry))
+        if text is None:
+            text = parts[id(entry)] = encode(entry)
+        name = names.get(aid)
+        if name is None:
+            name = names[aid] = json.dumps(aid)
+        texts.append(f"{name}: {text}")
+    best = content["best"]
+    text = parts.get(id(best))
+    if text is None:
+        text = parts[id(best)] = encode(best)
+    return f'{{"best": {text}, "entries": {{{", ".join(texts)}}}}}'

@@ -129,19 +129,6 @@ def export_csv(records, evaluation, path) -> None:
                 fl.get("message_count", True))])
 
 
-def parse_csv(path):
-    records = []
-    with open(path) as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            records.append(IntervalRecord(
-                interval=int(row["interval"]), phase=row["phase"],
-                convergence_ticks=int(row["convergence_ticks"]),
-                solution_quality=float(row["solution_quality"]),
-                message_count=int(row["message_count"])))
-    return records
-
-
 def export_evaluation_json(evaluation, margins, path, extra=None) -> None:
     doc = {"margins": asdict(margins), "evaluation": evaluation}
     if extra:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -186,8 +187,10 @@ def _reference_jsonl(trace) -> bytes:
 
 
 # leaves that compare (and hash) equal but serialize differently: 0 / 0.0 /
-# -0.0 and 1 / 1.0 / True, so a memo keyed by value writes the wrong bytes
-_json_leaf = st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, None]) | st.floats() | st.text(max_size=3)
+# -0.0 and 1 / 1.0 / True, so a memo keyed by value writes the wrong bytes;
+# NaN and the infinities are written as bare words
+_json_leaf = (st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, None, math.nan, math.inf, -math.inf])
+              | st.floats() | st.text(max_size=3))
 _json_value = st.recursive(
     _json_leaf,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -198,10 +201,27 @@ _agent = st.sampled_from(["a01", 'a"2', "a\\3", "a\u00e94"])
 
 
 @st.composite
+def _memories(draw, parts):
+    """A working-memory-shaped content whose entries and candidate are drawn
+    from `parts`, so one object can sit under two agent keys, be both an
+    entry and the candidate, or recur in other contents. Entries keyed by
+    ints, or held in a list, are not a working memory's and are dumped whole."""
+    part = st.sampled_from(parts)
+    key = draw(st.sampled_from([_agent, st.integers(0, 3)]))
+    entries = draw(st.dictionaries(key, part, max_size=4) | st.lists(part, max_size=2))
+    return {"entries": entries, "best": draw(part)}
+
+
+@st.composite
 def _traces(draw):
     """A trace whose events share a few content objects between receivers,
-    over non-decreasing intervals, so one content can recur in a later one."""
-    pool = draw(st.lists(_content, min_size=1, max_size=4)) + [{"kw": 0.0}, {"kw": -0.0}]
+    over non-decreasing intervals, so one content can recur in a later one.
+    Working-memory contents also share entry and candidate objects; the two
+    fixed entries compare equal but serialize differently."""
+    parts = draw(st.lists(_json_value, min_size=1, max_size=4)) + \
+        [{"values": [0.0]}, {"values": [-0.0]}, None]
+    pool = draw(st.lists(_content, min_size=1, max_size=4)) + [{"kw": 0.0}, {"kw": -0.0}] + \
+        draw(st.lists(_memories(parts), min_size=1, max_size=4))
     rows = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), _agent, _agent,
                                    st.sampled_from(["WorkingMemoryUpdate", "BlacklistNotice"]),
                                    st.booleans(), st.integers(0, 3), st.integers(0, 50)),

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,13 +96,22 @@ def test_empty_phase_has_zero_out_fraction():
 
 # --- export ---
 
+def _parse_csv(path):
+    with open(path) as f:
+        return [IntervalRecord(interval=int(row["interval"]), phase=row["phase"],
+                               convergence_ticks=int(row["convergence_ticks"]),
+                               solution_quality=float(row["solution_quality"]),
+                               message_count=int(row["message_count"]))
+                for row in csv.DictReader(f)]
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     records = [_record(0, "Normal", ticks=96, quality=0.1 + 0.2, messages=41),
                _record(1, "Normal", ticks=108, quality=0.0, messages=47)]
     margins = compute_margins(records)
     path = tmp_path / "records.csv"
     met.export_csv(records, evaluate_run(records, margins), path)
-    back = met.parse_csv(path)
+    back = _parse_csv(path)
     assert back == records  # repr floats round-trip exactly
 
 
