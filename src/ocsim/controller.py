@@ -77,7 +77,7 @@ class CentralController:
 def centralized_react(kernel, central: CentralController, suspect):
     """One topology push to each survivor and one task handover, issued by
     `central`; a re-report about a blacklisted suspect logs and sends nothing.
-    `rebuild_excluding` refuses to leave fewer than two survivors."""
+    `rebuild_excluding` refuses to leave fewer than three survivors."""
     if suspect in central.blacklist:
         return
     central.blacklist.add(suspect)

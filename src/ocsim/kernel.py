@@ -78,14 +78,9 @@ class Kernel:
         self._next_msg_id = 0
         # a Random, which copy.deepcopy copies (it shares a bound getrandbits)
         self._delays = random.Random(f"ocsim-delay:{seed}")
-        self.tick_hook = None  # optional callable(kernel, tick), fires once per tick
 
     def register(self, agent_id, handler):
         self.handlers[agent_id] = handler
-
-    @property
-    def queue_empty(self):
-        return not self._queue
 
     def send(self, sender, receiver, kind, content, delay=None) -> Message | None:
         """Schedule a message; returns None if an endpoint is bus-excluded.
@@ -115,15 +110,15 @@ class Kernel:
         heapq.heappush(self._queue, (msg.delivered_tick, msg.msg_id, msg))
         return msg
 
-    def run_until(self, condition) -> int:
-        """Process events in (delivered_tick, msg_id) order until the condition
-        over the kernel holds or the queue drains. Returns the tick reached.
+    def run_until(self, flush) -> int:
+        """Deliver events in (delivered_tick, msg_id) order until the queue
+        drains. Returns the tick reached.
 
-        All messages sharing a tick are delivered as one batch; the tick hook
-        then fires once, which lets agents answer a whole round of traffic
-        with a single broadcast. The condition is checked between batches.
+        All messages sharing a tick are delivered as one batch; `flush(kernel)`
+        then runs once, which lets agents answer a whole round of traffic
+        with a single broadcast.
         """
-        while self._queue and not condition(self):
+        while self._queue:
             tick = self._queue[0][0]
             self.clock = tick
             if self.clock > self.tick_cap:
@@ -137,12 +132,8 @@ class Kernel:
                 handler = self.handlers.get(msg.receiver)
                 if handler is not None and msg.receiver not in self.excluded:
                     handler(self, msg)
-            if self.tick_hook is not None:
-                self.tick_hook(self, tick)
+            flush(self)
         return self.clock
-
-    def run_to_quiescence(self) -> int:
-        return self.run_until(lambda k: False)
 
 
 # --- trace export ---

@@ -116,23 +116,21 @@ def _fmt(value):
 def export_csv(records, evaluation, path) -> None:
     """Stable column order; byte-identical for identical runs; floats are
     written with repr so a parse-back round-trips exactly."""
-    flags = {e["interval"]: e["in_range"] for e in evaluation["per_interval"]} if evaluation else {}
+    flags = {e["interval"]: e["in_range"] for e in evaluation["per_interval"]}
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for r in records:
-            fl = flags.get(r.interval, {})
+            fl = flags[r.interval]
             w.writerow([_fmt(x) for x in (
                 r.interval, r.phase, r.convergence_ticks, r.solution_quality,
                 r.message_count,
-                fl.get("convergence_ticks", True), fl.get("solution_quality", True),
-                fl.get("message_count", True))])
+                fl["convergence_ticks"], fl["solution_quality"], fl["message_count"])])
 
 
-def export_evaluation_json(evaluation, margins, path, extra=None) -> None:
+def export_evaluation_json(evaluation, margins, path, extra) -> None:
     doc = {"margins": asdict(margins), "evaluation": evaluation}
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -24,10 +24,10 @@ UNIT_TYPES = ("Wind", "PV", "Battery", "Household")
 SETPOINT_GRID = 0.25
 
 
-def quantize(value: float, grid: float = SETPOINT_GRID) -> float:
+def quantize(value: float) -> float:
     """Snap a power value to the setpoint grid (round half away from zero
     is avoided; half always rounds up, deterministically)."""
-    return round(math.floor(value / grid + 0.5) * grid, 6)
+    return round(math.floor(value / SETPOINT_GRID + 0.5) * SETPOINT_GRID, 6)
 OBSERVER_ARCHS = ("Centralized", "Decentralized", "GroupedByType", "GroupedRandom", "MultiLeveled")
 CONTROLLER_ARCHS = ("None", "Centralized", "Decentralized", "MultiLeveled")
 ATTACK_MODES = ("Scale", "Offset", "Replace")
@@ -233,16 +233,16 @@ def validate_scenario(config: ScenarioConfig) -> list:
     return v
 
 
-def _unit_schedules(rng: random.Random, unit_type: str, slots: int, n_candidates: int = 10,
-                    battery_rank: int = 0) -> list:
+def _unit_schedules(rng: random.Random, unit_type: str, slots: int, battery_rank: int) -> list:
     """Seeded candidate set for one unit; all values on the setpoint grid.
 
-    Wind/PV/Household: a per-unit base level with per-candidate flexibility
-    steps, so reported values cluster (anomaly detection gets a stable
-    signature). Battery: a ladder of charge/discharge levels; batteries
-    alternate between a bulk unit (wide range, coarse rungs) and a trim unit
-    (narrow range, one rung per grid step), so together they can absorb a
-    large offset and still land exactly on the target.
+    Wind/PV/Household: ten candidates, a per-unit base level and nine
+    flexibility steps around it, so reported values cluster (anomaly
+    detection gets a stable signature). Battery: a ladder of
+    charge/discharge levels; batteries alternate between a bulk unit (wide
+    range, coarse rungs) and a trim unit (narrow range, one rung per grid
+    step), so together they can absorb a large offset and still land exactly
+    on the target.
     """
     if unit_type == "Battery":
         if battery_rank % 2 == 0:  # bulk: wide range, coarse rungs
@@ -258,7 +258,7 @@ def _unit_schedules(rng: random.Random, unit_type: str, slots: int, n_candidates
         base = rng.uniform(2.0, 3.2)
     base = quantize(base)
     schedules = [tuple(base for _ in range(slots))]
-    for _ in range(n_candidates - 1):
+    for _ in range(9):
         level = base + rng.choice((-0.5, -0.25, 0.25, 0.5))
         schedules.append(tuple(round(level, 6) for _ in range(slots)))
     return schedules

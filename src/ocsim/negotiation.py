@@ -172,12 +172,11 @@ class NegotiationAgent:
     def _fresh_memory(self):
         return WorkingMemory(sums=[0.0] * len(self.target) if self.exact_sums else None)
 
-    def reset_for_interval(self, jitter_by_unit=None):
+    def reset_for_interval(self, jitter_by_unit):
         self.memory = self._fresh_memory()
         self.dirty = False
-        if jitter_by_unit is not None:
-            self._jitter = jitter_by_unit  # the caller's, never mutated
-            self._rebuild_feasible(jitter_by_unit)
+        self._jitter = jitter_by_unit  # the caller's, never mutated
+        self._rebuild_feasible(jitter_by_unit)
 
     def initiate(self, kernel):
         self._best_respond(kernel)
@@ -240,14 +239,8 @@ class NegotiationAgent:
             self.memory.sums = list(map(sub, self.memory.sums, gone["values"]))
         best = self.memory.best_candidate
         if best is not None and suspect in best.assignment:
-            assignment = {a: v for a, v in best.assignment.items() if a != suspect}
-            if assignment:
-                agg = aggregate_of(assignment, len(self.target))
-                self.memory.best_candidate = Candidate(assignment,
-                                                       objective(agg, self.target),
-                                                       stamp=best.stamp)
-            else:
-                self.memory.best_candidate = None
+            self.memory.best_candidate = _trimmed(best.assignment, (suspect,), best.stamp,
+                                                  self.target)
         return True
 
     def restart(self):
@@ -377,26 +370,33 @@ def decode_memory(content: dict, drop=(), *, target, forms) -> WorkingMemory:
                          best_candidate=_decode_candidate(content["best"], drop, target, forms))
 
 
-def _decode_candidate(raw, drop, target, forms):
-    if raw is None:
-        return None
-    assignment = raw["assignment"]
-    # a candidate losing dropped agents is decoded anew for each receiver
-    shared = assignment.keys().isdisjoint(drop)
-    if shared and id(raw) in forms:
-        return forms[id(raw)][1]
-    if not shared:
+def _trimmed(assignment, drop, stamp, target):
+    """The candidate of `assignment` without the `drop`ped agents, with the
+    given stamp and its objective recomputed in order; None when no agent is
+    left. The assignment dict is adopted as it is unless it holds a dropped
+    agent."""
+    if not assignment.keys().isdisjoint(drop):
         assignment = {aid: v for aid, v in assignment.items() if aid not in drop}
     if not assignment:
         return None
+    return Candidate(assignment, objective(aggregate_of(assignment, len(target)), target),
+                     stamp=stamp)
+
+
+def _decode_candidate(raw, drop, target, forms):
+    if raw is None:
+        return None
+    # a candidate losing dropped agents is decoded anew for each receiver
+    shared = raw["assignment"].keys().isdisjoint(drop)
+    if shared and id(raw) in forms:
+        return forms[id(raw)][1]
     # never trust the claimed objective: recompute from the assignment, so a
     # candidate whose values were falsified in transit cannot ride on a stale
     # claim
-    obj = objective(aggregate_of(assignment, len(target)), target)
-    best = Candidate(assignment, obj, stamp=raw["stamp"])
-    if shared:
+    best = _trimmed(raw["assignment"], drop, raw["stamp"], target)
+    if shared and best is not None:
         forms[id(raw)] = (raw, best)
-        if repr(obj) == repr(raw["objective"]):
+        if repr(best.objective) == repr(raw["objective"]):
             # re-encodes to the incoming wire form; a wrong claim (or 0.0
             # for -0.0) gets a new one carrying the recomputed objective
             best.wire = raw
@@ -409,20 +409,17 @@ def gossip_to_quiescence(kernel, agents):
     broadcast, in sorted id order."""
     order = sorted(agents)
 
-    def flush(k, tick):
+    def flush(k):
         for aid in order:
             if agents[aid].dirty and aid not in k.excluded:
                 agents[aid].respond(k)
 
-    kernel.tick_hook = flush
-    try:
-        kernel.run_to_quiescence()
-    finally:
-        kernel.tick_hook = None
+    kernel.run_until(flush)
 
 
-def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
-    """Run one negotiation episode to global quiescence.
+def run_negotiation(kernel, agents, initiator_id, jitter):
+    """Run the negotiation episode of `kernel.current_interval` to global
+    quiescence.
 
     Returns (assignment, convergence_ticks). The assignment maps agent id to
     the tuple of kW values the agent actually committed to (its own
@@ -430,14 +427,13 @@ def run_negotiation(interval, kernel, agents, initiator_id, jitter=None):
     consensus best candidate. `jitter` maps unit id to that interval's
     availability factor.
     """
-    kernel.current_interval = interval
     active = {aid: ag for aid, ag in agents.items() if aid not in kernel.excluded}
     # every agent gets the new memo, so none keeps an older one alive
     forms = {}
     for ag in agents.values():
         ag.forms = forms
     for ag in active.values():
-        ag.reset_for_interval(jitter if jitter is not None else {})
+        ag.reset_for_interval(jitter)
     start_tick = kernel.clock
     try:
         if initiator_id in active:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from . import attack as attack_mod
@@ -70,9 +70,9 @@ class RunResult:
     blacklist: set
     gossip_completion_tick: int | None
     control_tick: int | None
-    margins: object = None
-    evaluation: dict = None
-    agents: dict = field(default_factory=dict)
+    margins: object
+    evaluation: dict
+    agents: dict
 
 
 class Simulation:
@@ -210,9 +210,8 @@ class Simulation:
                 active = sorted(set(self.agents) - self.kernel.excluded)
                 rng = random.Random(f"ocsim-init:{cfg.seed}:{interval}")
                 initiator = rng.choice(active)
-                jitter = self._interval_jitter(interval)
-                assignment, duration = neg.run_negotiation(interval, self.kernel, self.agents,
-                                                           initiator, jitter=jitter)
+                assignment, duration = neg.run_negotiation(
+                    self.kernel, self.agents, initiator, self._interval_jitter(interval))
                 aggregate = neg.aggregate_of(assignment, len(self.target))
                 quality = neg.objective(aggregate, self.target)
                 records.append(IntervalRecord(

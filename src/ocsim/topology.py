@@ -77,13 +77,15 @@ def build_small_world(nodes, k: int, p: float, seed) -> Topology:
                     generation=0, k=k, p=p)
 
 
-def rebuild_excluding(old: Topology, excluded, seed=None) -> Topology:
+def rebuild_excluding(old: Topology, excluded, seed) -> Topology:
     """Regenerate a connected topology over the surviving node set.
 
-    Degree parameter shrinks with the survivor count but never below 2.
+    Degree parameter shrinks with the survivor count but never below 2; a
+    ring of degree 2 needs three nodes, so fewer survivors raise
+    DegradedSystemError.
     """
     survivors = sorted(old.nodes - set(excluded))
-    if len(survivors) < 2:
+    if len(survivors) < 3:
         raise DegradedSystemError(f"only {len(survivors)} agents remain")
     n = len(survivors)
     k = min(old.k, n - 1)

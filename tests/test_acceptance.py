@@ -218,7 +218,7 @@ def test_criterion_8_oracle_equivalence():
     # converged assignments beat every single-agent deviation
     for seed in SEEDS:
         kernel, agents, ids, target = _small_community(seed)
-        assignment, _ = neg.run_negotiation(0, kernel, agents, ids[0])
+        assignment, _ = neg.run_negotiation(kernel, agents, ids[0], {})
         ok &= set(assignment) == set(ids)
         base = neg.objective(neg.aggregate_of(assignment, slots), target)
         for aid in ids:

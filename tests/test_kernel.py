@@ -18,28 +18,33 @@ def _make_kernel(seed=1, delay_min=1, delay_max=3, **kwargs):
     return Kernel(seed, delay_min, delay_max, **kwargs)
 
 
+def _no_flush(kernel):
+    pass
+
+
 def test_delivery_order_is_tick_then_msg_id():
     k = _make_kernel(delay_min=1, delay_max=1)
     log = []
     k.register("b", lambda kernel, msg: log.append(msg.msg_id))
     for _ in range(5):
         k.send("a", "b", "WorkingMemoryUpdate", {})
-    k.run_to_quiescence()
+    k.run_until(_no_flush)
     assert log == sorted(log)
 
 
 def test_messages_on_one_tick_are_delivered_as_a_batch():
     k = _make_kernel(delay_min=2, delay_max=2)
-    hook_calls = []
+    flushes = []
     delivered = []
     k.register("b", lambda kernel, msg: delivered.append(kernel.clock))
-    k.tick_hook = lambda kernel, tick: hook_calls.append((tick, len(delivered)))
     for _ in range(4):
         k.send("a", "b", "WorkingMemoryUpdate", {})
-    k.run_to_quiescence()
-    # one tick, one batch, one hook invocation after the whole batch
-    assert delivered == [2, 2, 2, 2]
-    assert hook_calls == [(2, 4)]
+    for _ in range(2):
+        k.send("a", "b", "WorkingMemoryUpdate", {}, delay=3)
+    assert k.run_until(lambda kernel: flushes.append((kernel.clock, len(delivered)))) == 3
+    # one batch per tick, one flush after each whole batch
+    assert delivered == [2, 2, 2, 2, 3, 3]
+    assert flushes == [(2, 4), (3, 6)]
 
 
 def test_delays_stay_within_the_configured_band():
@@ -89,7 +94,7 @@ def test_excluded_endpoints_are_suppressed_but_traced():
     k.excluded.add("b")
     assert k.send("a", "b", "WorkingMemoryUpdate", {}) is None
     assert k.send("b", "a", "WorkingMemoryUpdate", {}) is None
-    k.run_to_quiescence()
+    k.run_until(_no_flush)
     assert delivered == []
     assert [e.delivered for e in k.trace.events] == [False, False]
 
@@ -106,18 +111,8 @@ def test_interval_counts_match_an_independent_recount():
     k.register("b", forward)
     k.current_interval = 4
     k.send("a", "b", "WorkingMemoryUpdate", {"hops": 7})
-    k.run_to_quiescence()
+    k.run_until(_no_flush)
     assert k.trace.interval_counts == k.trace.recount() == {4: 8}
-
-
-def test_run_until_stops_between_batches():
-    k = _make_kernel(delay_min=1, delay_max=1)
-    k.register("b", lambda kernel, msg: kernel.send("b", "a", "WorkingMemoryUpdate", {}))
-    k.register("a", lambda kernel, msg: None)
-    k.send("a", "b", "WorkingMemoryUpdate", {})
-    k.run_until(lambda kernel: kernel.clock >= 1)
-    assert k.clock == 1
-    assert not k.queue_empty  # the reply is still in flight
 
 
 def test_tick_cap_raises_with_partial_trace():
@@ -130,7 +125,7 @@ def test_tick_cap_raises_with_partial_trace():
     k.register("b", ping)
     k.send("a", "b", "WorkingMemoryUpdate", {})
     with pytest.raises(NonConvergenceError) as exc:
-        k.run_to_quiescence()
+        k.run_until(_no_flush)
     assert exc.value.trace.events  # partial trace preserved
 
 
@@ -161,7 +156,7 @@ def test_trace_jsonl_round_trips_fields(tmp_path):
     k = _make_kernel(seed=5)
     k.register("b", lambda kernel, msg: None)
     k.send("a", "b", "BlacklistNotice", {"suspect": "c"})
-    k.run_to_quiescence()
+    k.run_until(_no_flush)
     path = tmp_path / "trace.jsonl"
     export_trace_jsonl(k.trace, path)
     lines = path.read_text().splitlines()
@@ -237,6 +232,7 @@ def _traces(draw):
     return trace
 
 
+@pytest.mark.hashseed
 @given(_traces())
 @settings(max_examples=300, deadline=None)
 def test_trace_jsonl_is_one_json_dumps_per_event(tmp_path_factory, trace):

@@ -266,7 +266,7 @@ def _community(seed, n=6, max_scheds=5):
 
 def test_negotiation_reaches_full_coverage_consensus():
     kernel, agents, ids, target = _community(seed=4)
-    assignment, duration = neg.run_negotiation(0, kernel, agents, ids[0])
+    assignment, duration = neg.run_negotiation(kernel, agents, ids[0], {})
     assert set(assignment) == set(ids)
     assert duration > 0 and kernel.trace.interval_counts[0] > 0
     # all agents committed to the same joint candidate
@@ -279,7 +279,7 @@ def test_negotiation_reaches_full_coverage_consensus():
 def test_converged_assignment_is_single_deviation_optimal():
     for seed in range(5):
         kernel, agents, ids, target = _community(seed)
-        assignment, _ = neg.run_negotiation(0, kernel, agents, ids[0])
+        assignment, _ = neg.run_negotiation(kernel, agents, ids[0], {})
         base = neg.objective(neg.aggregate_of(assignment, SLOTS), target)
         for aid in ids:
             for sched in agents[aid].feasible:
@@ -292,13 +292,13 @@ def test_converged_assignment_is_single_deviation_optimal():
 def test_quiescence_across_seeds():
     for seed in range(20):
         kernel, agents, ids, _ = _community(seed, n=8)
-        neg.run_negotiation(0, kernel, agents, ids[0])
-        assert kernel.queue_empty
+        neg.run_negotiation(kernel, agents, ids[0], {})
+        assert not kernel._queue
 
 
 def test_exclusion_removes_suspect_from_state():
     kernel, agents, ids, _ = _community(seed=2)
-    neg.run_negotiation(0, kernel, agents, ids[0])
+    neg.run_negotiation(kernel, agents, ids[0], {})
     victim = agents[ids[0]]
     suspect = ids[1]
     assert victim.exclude_local(suspect)
@@ -310,7 +310,7 @@ def test_exclusion_removes_suspect_from_state():
 
 def test_restart_keeps_only_the_own_entry_with_its_revision_bumped():
     kernel, agents, ids, _ = _community(seed=2)
-    neg.run_negotiation(0, kernel, agents, ids[0])
+    neg.run_negotiation(kernel, agents, ids[0], {})
     agent = agents[ids[0]]
     own = agent.memory.entries[agent.agent_id]
     values, revision = own["values"], own["revision"]
@@ -328,10 +328,36 @@ _grid_values = st.lists(st.integers(-40, 40).map(lambda i: i * 0.25) | st.just(-
                         min_size=SLOTS, max_size=SLOTS).map(tuple)
 _steps = st.lists(st.one_of(
     st.tuples(st.just("merge"), st.sampled_from("abcde"), _grid_values, st.integers(0, 3)),
+    # a received candidate over other agents, in the given order
+    st.tuples(st.just("adopt"), st.lists(st.tuples(st.sampled_from("bcde"), _grid_values),
+                                         min_size=1, max_size=4, unique_by=lambda p: p[0])),
     st.tuples(st.just("respond")),
     st.tuples(st.just("set_own"), st.integers(0, 3)),
     st.tuples(st.just("restart")),
     st.tuples(st.just("exclude"), st.sampled_from("bcde"))), max_size=40)
+
+
+def _check_exclusion(before, after, suspect, target):
+    """`after` is `before` without `suspect`, checked against a plain
+    reference: the same object if it did not hold the suspect; else None if
+    no agent is left; else a new candidate with the remaining values in
+    order, an objective summed in order, the old stamp and no wire form."""
+    if before is None or suspect not in before.assignment:
+        assert after is before
+        return
+    kept = [(aid, v) for aid, v in before.assignment.items() if aid != suspect]
+    if not kept:
+        assert after is None
+        return
+    assert [aid for aid, _ in kept] == list(after.assignment)
+    assert all(after.assignment[aid] is v for aid, v in kept)
+    agg = [0.0] * len(target)
+    for _, values in kept:
+        for t, v in enumerate(values):
+            agg[t] += v
+    assert repr(after.objective) == repr(sum(abs(a - b) for a, b in zip(agg, target)))
+    assert after.stamp == before.stamp
+    assert after.wire is None
 
 
 @given(st.lists(_grid_values, min_size=1, max_size=4), _steps)
@@ -339,7 +365,8 @@ _steps = st.lists(st.one_of(
 def test_running_sums_are_the_ordered_sum_of_the_entries(schedules, steps):
     """Whatever merges, own-entry updates, restarts and exclusions an agent
     goes through, the running sums of its memory equal the ordered sum of
-    its entries exactly, and no slot is -0.0."""
+    its entries exactly, and no slot is -0.0; an exclusion trims the best
+    candidate as a plain reference does."""
     unit = UnitModel(unit_id="u-a", unit_type="Household", feasible_schedules=schedules)
     agent = neg.NegotiationAgent("a", unit, [0.0] * SLOTS)
     agent.exact_sums = True
@@ -350,6 +377,11 @@ def test_running_sums_are_the_ordered_sum_of_the_entries(schedules, steps):
             _, aid, values, revision = step
             neg.merge_memories(agent.memory, neg.WorkingMemory(
                 entries={aid: {"values": values, "revision": revision}}))
+        elif step[0] == "adopt":
+            assignment = dict(step[1])
+            obj = neg.objective(neg.aggregate_of(assignment, SLOTS), agent.target)
+            neg.merge_memories(agent.memory, neg.WorkingMemory(
+                best_candidate=neg.Candidate(assignment, obj, stamp=(kernel.clock, "z"))))
         elif step[0] == "respond":
             kernel.clock += 1
             agent._best_respond(kernel)
@@ -358,7 +390,11 @@ def test_running_sums_are_the_ordered_sum_of_the_entries(schedules, steps):
         elif step[0] == "restart":
             agent.restart()
         elif step[0] == "exclude":
-            agent.exclude_local(step[1])
+            before = agent.memory.best_candidate
+            if agent.exclude_local(step[1]):
+                _check_exclusion(before, agent.memory.best_candidate, step[1], agent.target)
+            else:  # already blacklisted
+                assert agent.memory.best_candidate is before
         sums = agent.memory.sums
         entries = agent.memory.entries
         assert sums == neg.aggregate_of({a: e["values"] for a, e in entries.items()}, SLOTS)
@@ -389,7 +425,7 @@ def test_adopt_unit_cross_sums_candidate_sets():
 
 def test_broadcasts_of_one_interval_share_the_wire_form_of_an_unchanged_entry():
     kernel, agents, ids, _ = _community(seed=4)
-    neg.run_negotiation(0, kernel, agents, ids[0])
+    neg.run_negotiation(kernel, agents, ids[0], {})
     sent = {}
     for e in kernel.trace.events:
         contents = sent.setdefault(e.message.sender, [])
@@ -408,13 +444,13 @@ def test_broadcasts_of_one_interval_share_the_wire_form_of_an_unchanged_entry():
 
 def test_no_wire_form_outlives_its_interval():
     kernel, agents, ids, _ = _community(seed=4)
-    neg.run_negotiation(0, kernel, agents, ids[0])
+    neg.run_negotiation(kernel, agents, ids[0], {})
     assert all(not agent.forms for agent in agents.values())
 
 
 def test_receivers_share_a_candidate_decode_unless_they_drop_an_agent_of_it():
     kernel, agents, ids, _ = _community(seed=2)
-    neg.run_negotiation(0, kernel, agents, ids[0])
+    neg.run_negotiation(kernel, agents, ids[0], {})
     content = neg.encode_memory(agents[ids[0]].memory)
     suspect = ids[4]
     assert suspect in content["best"]["assignment"]
@@ -423,7 +459,7 @@ def test_receivers_share_a_candidate_decode_unless_they_drop_an_agent_of_it():
         receiver.exclude_local(suspect)
     b.exclude_local("outsider")  # a blacklist that misses every agent of the candidate
     for receiver in (wary, other_wary, a, b):
-        receiver.reset_for_interval()
+        receiver.reset_for_interval({})
         receiver.handle(kernel, Message(0, ids[0], receiver.agent_id, 0, 1,
                                         "WorkingMemoryUpdate", content))
     for receiver in (wary, other_wary):
@@ -507,6 +543,7 @@ def _decode_view(memory, forms):
     return [(aid, id(entry)) for aid, entry in memory.entries.items()], best, memo
 
 
+@pytest.mark.hashseed
 @given(_deliveries())
 @settings(max_examples=300)
 def test_decoding_matches_the_copying_reference(deliveries):

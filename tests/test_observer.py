@@ -213,6 +213,7 @@ def _window(draw, slots=None, first_interval=0, min_intervals=3, value=_value, m
     return window
 
 
+@pytest.mark.hashseed
 @given(_window(), st.sampled_from(["Centralized", "Decentralized", "GroupedByType",
                                    "GroupedRandom", "MultiLeveled"]), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
@@ -269,6 +270,7 @@ def _reference_model(window, watched):
     return model, rows
 
 
+@pytest.mark.hashseed
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_counted_finish_matches_the_list_based_median_mad(data):
@@ -377,6 +379,7 @@ _steady_value = st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.5])
 _schedule_value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-10, 10)
 
 
+@pytest.mark.hashseed
 @given(st.data(), st.sampled_from(["Centralized", "Decentralized", "GroupedByType",
                                    "GroupedRandom", "MultiLeveled"]), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
@@ -480,6 +483,7 @@ def _perturbed(window, values=None, ticks=None):
     return out
 
 
+@pytest.mark.hashseed
 @given(st.data(), st.sampled_from(["Centralized", "Decentralized", "GroupedByType",
                                    "GroupedRandom"]), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)

@@ -87,11 +87,13 @@ def test_rebuild_shrinks_degree_for_small_survivor_sets():
     assert rebuilt.k == 2  # k=4 impossible over 3 survivors
 
 
-def test_rebuild_refuses_degraded_system():
+@pytest.mark.parametrize("survivors", [1, 2])
+def test_rebuild_refuses_degraded_system(survivors):
+    # a ring of degree 2 needs three nodes
     nodes = [f"a{i}" for i in range(4)]
     t = build_small_world(nodes, 2, 0.0, seed=1)
-    with pytest.raises(DegradedSystemError):
-        rebuild_excluding(t, {"a0", "a1", "a2"}, seed=1)
+    with pytest.raises(DegradedSystemError, match=f"only {survivors} agents remain"):
+        rebuild_excluding(t, nodes[survivors:], seed=1)
 
 
 def test_is_connected_detects_partition():
