@@ -1,8 +1,12 @@
 """Experiment orchestration CLI: run one scenario, sweep the architecture
 matrix, compare completed runs.
 
-Exit codes: 0 success, 2 validation/usage failure, 3 runtime fault. A
-validated scenario never ends in `DegradedSystemError` (see README).
+Exit codes: 0 success, 2 validation/usage failure, 3 runtime fault. The
+subcommands raise, and `main` alone maps a fault to its code: a
+`model.ScenarioError` to one `violation:` line per problem and 2, any other
+exception to one `runtime fault:` line and 3 (`compare` prints its own
+`refused:` lines). A validated scenario never ends in `DegradedSystemError`
+(see README).
 """
 from __future__ import annotations
 
@@ -35,22 +39,16 @@ def config_hashes(config: model.ScenarioConfig):
 
 
 def _output_root(args_out):
-    if args_out:
-        return args_out
-    return os.environ.get("OCSIM_OUTPUT_ROOT", "runs")
+    return args_out or os.environ.get("OCSIM_OUTPUT_ROOT", "runs")
 
 
 def execute_run(config, out_dir, scenario_path="", tick_cap=DEFAULT_TICK_CAP, run_id=None):
-    """Run a validated scenario and write the five run artifacts: trace,
-    records CSV, evaluation JSON, plots directory, manifest. Returns the
-    manifest and the run's `RunResult`."""
-    os.makedirs(out_dir, exist_ok=True)
-    full_hash, base_hash = config_hashes(config)
-    run_id = run_id or f"{config.seed}-{config.observer_arch}-L{config.info_level}-{config.controller_arch}"
-    manifest = {"run_id": run_id, "scenario_path": str(scenario_path),
-                "config_hash": full_hash, "base_hash": base_hash,
-                "output_dir": str(out_dir), "status": "running"}
+    """Run a scenario, then write the five run artifacts: trace, records
+    CSV, evaluation JSON, plots directory, manifest. Returns the manifest
+    and the run's `RunResult`. A run that raises (`model.ScenarioError` for
+    a scenario that cannot run) writes nothing."""
     result = run_scenario(config, tick_cap=tick_cap)
+    os.makedirs(out_dir, exist_ok=True)
     export_trace_jsonl(result.trace, os.path.join(out_dir, "trace.jsonl"))
     met.export_csv(result.records, result.evaluation, os.path.join(out_dir, "records.csv"))
     extra = {
@@ -64,16 +62,21 @@ def execute_run(config, out_dir, scenario_path="", tick_cap=DEFAULT_TICK_CAP, ru
                                os.path.join(out_dir, "evaluation.json"), extra=extra)
     emit_plots(result.records, result.margins, os.path.join(out_dir, "plots"),
                incident=config.incident_interval, control=config.control_interval)
-    manifest["status"] = "completed"
+    full_hash, base_hash = config_hashes(config)
+    run_id = run_id or f"{config.seed}-{config.observer_arch}-L{config.info_level}-{config.controller_arch}"
+    manifest = {"run_id": run_id, "scenario_path": str(scenario_path),
+                "config_hash": full_hash, "base_hash": base_hash,
+                "output_dir": str(out_dir), "status": "completed"}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return manifest, result
 
 
-def _valid_scenario(args):
-    """The scenario of `args.scenario` with `--seed` applied, or None after
-    printing on stderr one `violation:` line per reason it or `--tick-cap` cannot run."""
+def _load_scenario(args):
+    """The scenario of `args.scenario` with `--seed` applied. Raises
+    `model.ScenarioError` listing each reason it cannot be loaded or
+    `--tick-cap` cannot run; whether the scenario can run is the run's check."""
     violations = []
     if args.tick_cap < 1:
         violations.append(f"--tick-cap {args.tick_cap}: must be >= 1")
@@ -83,26 +86,18 @@ def _valid_scenario(args):
         violations += exc.violations
     except (OSError, ValueError, RecursionError) as exc:  # json nests by recursion
         violations.append(f"cannot load {args.scenario}: {exc}")
-    else:
-        if args.seed is not None:
-            config.seed = args.seed
-        violations += model.validate_scenario(config)
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
-    return None if violations else config
+    if violations:
+        raise model.ScenarioError(violations)
+    if args.seed is not None:
+        config.seed = args.seed
+    return config
 
 
 def cmd_run(args) -> int:
-    config = _valid_scenario(args)
-    if config is None:
-        return 2
+    config = _load_scenario(args)
     out_dir = _output_root(args.out)
-    try:
-        manifest, _ = execute_run(config, out_dir, scenario_path=args.scenario,
-                                  tick_cap=args.tick_cap)
-    except Exception as exc:  # runtime fault contract
-        print(f"runtime fault: {exc}", file=sys.stderr)
-        return 3
+    manifest, _ = execute_run(config, out_dir, scenario_path=args.scenario,
+                              tick_cap=args.tick_cap)
     print(f"run {manifest['run_id']} completed -> {out_dir}")
     return 0
 
@@ -113,26 +108,23 @@ def _parse_list(value, cast=str):
 
 
 def cmd_sweep(args) -> int:
-    base = _valid_scenario(args)
-    if base is None:
-        return 2
+    base = _load_scenario(args)
     observers = _parse_list(args.observer) or [base.observer_arch]
     try:
         levels = _parse_list(args.level, int) or [base.info_level]
     except ValueError as exc:
-        print(f"violation: --level {args.level!r}: {exc}", file=sys.stderr)
-        return 2
+        raise model.ScenarioError([f"--level {args.level!r}: {exc}"]) from exc
     controllers = _parse_list(args.controller) or [base.controller_arch]
     # the cells share the base's parts: a run never mutates its config
     cells = [dataclasses.replace(base, observer_arch=ob, info_level=lv, controller_arch=ct)
              for ob, lv, ct in itertools.product(observers, levels, controllers)]
-    violations = {}  # one line per bad value, however many cells share it
+    # every cell is checked before any runs; a violation of the base shows
+    # in every cell, and is listed once however many cells share it
+    violations = {}
     for cell in cells:
         violations.update(dict.fromkeys(model.validate_scenario(cell)))
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
     if violations:
-        return 2
+        raise model.ScenarioError(list(violations))
     out_root = _output_root(args.out)
     os.makedirs(out_root, exist_ok=True)
     compromised = {a.agent_id for a in base.agents if a.is_compromised}
@@ -232,15 +224,12 @@ def cmd_init(args) -> int:
     try:
         config = model.generate_default_scenario(args.seed, args.agents)
     except ValueError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 2
+        raise model.ScenarioError([str(exc)]) from exc
     if args.controller:
         config.controller_arch = args.controller
     violations = model.validate_scenario(config)
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
     if violations:
-        return 2
+        raise model.ScenarioError(violations)
     model.save_scenario(config, args.scenario)
     print(f"wrote default scenario ({args.agents} agents, seed {args.seed}) -> {args.scenario}")
     return 0
@@ -281,7 +270,15 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_init)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except model.ScenarioError as exc:
+        for v in exc.violations:
+            print(f"violation: {v}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # runtime fault contract
+        print(f"runtime fault: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
-# ticks a run may reach before it counts as non-converging
+# ticks one delivery loop (one gossip episode) may span before it counts
+# as non-converging
 DEFAULT_TICK_CAP = 500_000
 
 
@@ -116,14 +117,17 @@ class Kernel:
 
         All messages sharing a tick are delivered as one batch; `flush(kernel)`
         then runs once, which lets agents answer a whole round of traffic
-        with a single broadcast.
+        with a single broadcast. Raises `NonConvergenceError` once the loop
+        reaches a tick more than `tick_cap` ticks after the clock it started from.
         """
+        start = self.clock
         while self._queue:
             tick = self._queue[0][0]
             self.clock = tick
-            if self.clock > self.tick_cap:
+            if tick - start > self.tick_cap:
                 raise NonConvergenceError(
-                    f"tick cap {self.tick_cap} exceeded at tick {self.clock}", self.trace)
+                    f"tick cap {self.tick_cap} exceeded at tick {tick}, "
+                    f"{tick - start} ticks after the loop began at {start}", self.trace)
             while self._queue and self._queue[0][0] == tick:
                 _, _, msg = heapq.heappop(self._queue)
                 self.trace.events.append(TraceEvent(message=msg, delivered=True))

@@ -36,8 +36,7 @@ def _fmt(v):
     return f"{v:.3f}".rstrip("0").rstrip(".")
 
 
-def render_metric_svg(records, margin, metric, incident=None, control=None,
-                      warning=None) -> str:
+def render_metric_svg(records, margin, metric, incident, control, warning) -> str:
     xs = [r.interval for r in records]
     ys = [r.metric(metric) for r in records]
     vmin = min(ys + [margin.lower]) if ys else 0.0
@@ -98,7 +97,7 @@ def render_metric_svg(records, margin, metric, incident=None, control=None,
     return "\n".join(parts) + "\n"
 
 
-def emit_plots(records, margins, destination, incident=None, control=None) -> list:
+def emit_plots(records, margins, destination, incident, control) -> list:
     """One SVG per metric under `destination`; returns the written paths."""
     os.makedirs(destination, exist_ok=True)
     phases = {r.phase for r in records}

@@ -20,7 +20,7 @@ from . import negotiation as neg
 from . import observer as obs
 from .kernel import DEFAULT_TICK_CAP, Kernel
 from .metrics import IntervalRecord, classify_phase, compute_margins, evaluate_run
-from .model import SETPOINT_GRID, ScenarioConfig, validate_scenario
+from .model import SETPOINT_GRID, ScenarioConfig, ScenarioError, validate_scenario
 from .topology import build_small_world
 
 # convergence durations are reported at the metrics pipeline's telemetry
@@ -85,7 +85,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig, tick_cap: int = DEFAULT_TICK_CAP):
         violations = validate_scenario(config)
         if violations:
-            raise ValueError("invalid scenario: " + "; ".join(violations))
+            raise ScenarioError(violations)
         self.config = config
         self.target = [0.0] * config.intervals_per_negotiation  # perfect self-consumption
 

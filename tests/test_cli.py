@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from ocsim import cli, model
+from ocsim import cli, model, runner
 from ocsim.cli import main
 
 
@@ -239,6 +239,45 @@ def test_a_small_tick_cap_reaches_the_run(tmp_path, scenario_file, capsys):
     assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "out"),
                  "--tick-cap", "5"]) == 3
     assert capsys.readouterr().err.startswith("runtime fault: tick cap 5 exceeded")
+    assert not (tmp_path / "out").exists()  # the run raised before anything was written
+
+
+def test_init_into_a_missing_directory_exits_3(tmp_path, capsys):
+    path = tmp_path / "missing" / "s.json"
+    assert main(["init", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime fault: [Errno 2] No such file")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_sweep_into_an_existing_file_exits_3(tmp_path, scenario_file, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime fault: [Errno 17] File exists")
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("flags,checks", [
+    (["run"], [4]),  # the run's own check
+    (["sweep", "--level", "3,4"], [3, 4, 3, 4])],  # each cell before any runs, then each run
+    ids=["run", "sweep"])
+def test_each_run_path_checks_its_scenario_once(tmp_path, scenario_file, monkeypatch,
+                                                 flags, checks):
+    """Counted by info level through both bindings: the CLI's `model` and the
+    `Simulation`'s `runner`."""
+    calls = []
+    validate = model.validate_scenario
+
+    def counting(config):
+        calls.append(config.info_level)
+        return validate(config)
+
+    monkeypatch.setattr(model, "validate_scenario", counting)
+    monkeypatch.setattr(runner, "validate_scenario", counting)
+    assert main(flags + ["--scenario", str(scenario_file), "--out", str(tmp_path / "x")]) == 0
+    assert calls == checks
 
 
 def test_compare_requires_a_shared_base(tmp_path, scenario_file, capsys):

@@ -129,6 +129,28 @@ def test_tick_cap_raises_with_partial_trace():
     assert exc.value.trace.events  # partial trace preserved
 
 
+def test_tick_cap_counts_from_where_each_loop_starts():
+    k = _make_kernel(delay_min=1, delay_max=1, tick_cap=10)
+    hops = []
+
+    def relay(kernel, msg):  # forwards until it has seen `hops[-1]` messages
+        hops[-1] -= 1
+        if hops[-1]:
+            kernel.send(msg.receiver, msg.sender, "WorkingMemoryUpdate", {})
+
+    k.register("a", relay)
+    k.register("b", relay)
+    for _ in range(3):  # three loops of 10 ticks each end at tick 30
+        hops.append(10)
+        k.send("a", "b", "WorkingMemoryUpdate", {})
+        k.run_until(_no_flush)
+    assert k.clock == 30
+    hops.append(11)
+    k.send("a", "b", "WorkingMemoryUpdate", {})
+    with pytest.raises(NonConvergenceError, match="^tick cap 10 exceeded at tick 41, 11 ticks "):
+        k.run_until(_no_flush)
+
+
 def _message():
     return Message(msg_id=0, sender="a", receiver="b", sent_tick=0, delivered_tick=1,
                    kind="WorkingMemoryUpdate", content={"entries": {}})

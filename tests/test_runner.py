@@ -11,10 +11,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ocsim import negotiation as neg
 from ocsim import observer as obs
 from ocsim import runner
-from ocsim.kernel import Message, NonConvergenceError, TraceEvent
+from ocsim.kernel import Kernel, Message, NonConvergenceError, TraceEvent
 from ocsim.metrics import classify_phase
 from ocsim.model import (ATTACK_MODES, CONTROLLER_ARCHS, OBSERVER_ARCHS, SETPOINT_GRID,
-                         AttackConfig, generate_default_scenario, validate_scenario)
+                         AttackConfig, ScenarioError, generate_default_scenario,
+                         validate_scenario)
 from ocsim.runner import CONVERGENCE_RESOLUTION, Simulation, exact_sums, run_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -201,8 +202,9 @@ def test_a_short_training_window_is_refused(observer_arch):
                                   attack=dataclasses.replace(base.attack, active_from_interval=4))
         assert validate_scenario(cfg) == [
             "incident_interval: need >= 5 training intervals before it"]
-        with pytest.raises(ValueError, match="invalid scenario: incident_interval"):
+        with pytest.raises(ScenarioError) as exc:
             run_scenario(cfg)
+        assert exc.value.violations == validate_scenario(cfg)
 
 
 def test_the_collector_is_off_during_a_run_and_back_on_after_it(monkeypatch):
@@ -225,6 +227,30 @@ def test_a_failing_run_switches_the_collector_back_on():
     with pytest.raises(NonConvergenceError):
         run_scenario(generate_default_scenario(seed=1), tick_cap=5)
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("controller_arch", ["Centralized", "Decentralized", "MultiLeveled"])
+def test_the_tick_cap_bounds_each_delivery_loop_not_the_run(monkeypatch, controller_arch):
+    """A run whose longest delivery loop spans L ticks completes under a cap
+    of L and fails under L - 1, though its clock ends far beyond L."""
+    config = dataclasses.replace(generate_default_scenario(seed=1),
+                                 controller_arch=controller_arch)
+    loops = []
+    run_until = Kernel.run_until
+
+    def recording(kernel, flush):
+        start = kernel.clock
+        loops.append((start, run_until(kernel, flush)))
+        return loops[-1][1]
+
+    monkeypatch.setattr(Kernel, "run_until", recording)
+    run_scenario(config)
+    monkeypatch.undo()
+    longest = max(end - start for start, end in loops)
+    assert loops[-1][1] > 10 * longest  # the run's clock passes the cap many times over
+    assert len(run_scenario(config, tick_cap=longest).records) == config.num_intervals
+    with pytest.raises(NonConvergenceError, match=f"^tick cap {longest - 1} exceeded"):
+        run_scenario(config, tick_cap=longest - 1)
 
 
 def test_a_run_leaves_a_disabled_collector_disabled():
