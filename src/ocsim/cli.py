@@ -221,10 +221,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_init(args) -> int:
-    try:
-        config = model.generate_default_scenario(args.seed, args.agents)
-    except ValueError as exc:
-        raise model.ScenarioError([str(exc)]) from exc
+    if args.agents < model.MIN_AGENTS:
+        raise model.ScenarioError([f"--agents {args.agents}: must be >= {model.MIN_AGENTS}"])
+    config = model.generate_default_scenario(args.seed, args.agents)
     if args.controller:
         config.controller_arch = args.controller
     violations = model.validate_scenario(config)

@@ -89,8 +89,7 @@ def centralized_react(kernel, central: CentralController, suspect):
     content = {"generation": topology.generation,
                "adjacency": {a: sorted(topology.neighbors(a)) for a in survivors},
                "excluded": sorted(central.blacklist)}
-    for aid in survivors:
-        kernel.send(CENTRAL_ID, aid, "TopologyPush", content)
+    kernel.broadcast(CENTRAL_ID, survivors, "TopologyPush", content)
     unit = central.agents[suspect].units[0]
     owner = reassign_task(survivors, {aid: len(a.units) for aid, a in central.agents.items()})
     central.actions.append(ControlAction(kind="TaskReassignment", issuer=CENTRAL_ID,
@@ -113,11 +112,11 @@ def decentralized_react(kernel, host, suspect, actions) -> bool:
         return False
     actions.append(ControlAction(kind="ExcludeLocal", issuer=host.agent_id,
                                  issued_tick=kernel.clock, target=suspect))
-    for nb in sorted(host.neighbors):
-        actions.append(ControlAction(kind="BlacklistNotice", issuer=host.agent_id,
-                                     issued_tick=kernel.clock, target=nb))
-        kernel.send(host.agent_id, nb, "BlacklistNotice", {"suspect": suspect},
-                    delay=REACTION_LATENCY)
+    neighbors = sorted(host.neighbors)
+    actions.extend(ControlAction(kind="BlacklistNotice", issuer=host.agent_id,
+                                 issued_tick=kernel.clock, target=nb) for nb in neighbors)
+    kernel.broadcast(host.agent_id, neighbors, "BlacklistNotice", {"suspect": suspect},
+                     delay=REACTION_LATENCY)
     return True
 
 

@@ -2,15 +2,15 @@
 
 Delivery order is the total order (delivered_tick, msg_id). Message delays are
 integer ticks drawn from a dedicated RNG stream, so RNG use elsewhere cannot
-perturb them. A message belongs to the interval it was sent in: `send` stamps
-it, and a run drains the queue within each interval.
+perturb them. A message belongs to the interval it was sent in: `broadcast`
+stamps it, and a run drains the queue within each interval.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 # ticks one delivery loop (one gossip episode) may span before it counts
 # as non-converging
@@ -66,9 +66,6 @@ class Kernel:
         self.clock = 0
         self.current_interval = 0
         self.delay_min = delay_min
-        # randint(delay_min, delay_max) is delay_min plus the first draw of
-        # getrandbits(k) below the range width; the loop in send() repeats
-        # that rejection sampling, so it yields exactly randint's values
         self._delay_width = delay_max - delay_min + 1
         self._delay_bits = self._delay_width.bit_length()
         self.tick_cap = tick_cap
@@ -84,32 +81,48 @@ class Kernel:
         self.handlers[agent_id] = handler
 
     def send(self, sender, receiver, kind, content, delay=None) -> Message | None:
-        """Schedule a message; returns None if an endpoint is bus-excluded.
+        """Schedule one message; returns None if an endpoint is bus-excluded.
+        The one-receiver case of `broadcast`."""
+        sent = self.broadcast(sender, (receiver,), kind, content, delay)
+        return sent[0] if sent else None
 
-        `delay` overrides the seeded draw (used for control paths with a
-        known processing latency); the draw still happens so the delay stream
+    def broadcast(self, sender, receivers, kind, content, delay=None) -> list:
+        """Schedule one copy of `content` per receiver, in order, each with
+        its own msg_id and delay draw; returns the copies not suppressed for
+        a bus-excluded endpoint (those are traced as undelivered).
+
+        `delay` overrides the seeded draws (used for control paths with a
+        known processing latency); each copy still draws, so the delay stream
         stays aligned across runs that differ only in control wiring."""
-        msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        drawn = self._delays.getrandbits(self._delay_bits)
-        while drawn >= self._delay_width:
-            drawn = self._delays.getrandbits(self._delay_bits)
-        if delay is None:
-            delay = self.delay_min + drawn
-        # content is immutable once handed to send(): a compromised agent's
+        # content is immutable once handed to the bus: a compromised agent's
         # falsified wire view is a copy made before its broadcast, every
         # receiver of a broadcast adopts its dicts as they are, and
         # working-memory entries and encoded candidates are shared between
         # broadcasts too, so no defensive copy
-        msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,
-                      sent_tick=self.clock, delivered_tick=self.clock + delay,
-                      kind=kind, content=content,
-                      interval=self.current_interval)
-        if sender in self.excluded or receiver in self.excluded:
-            self.trace.events.append(TraceEvent(message=msg, delivered=False))
-            return None
-        heapq.heappush(self._queue, (msg.delivered_tick, msg.msg_id, msg))
-        return msg
+        getrandbits, bits, width = self._delays.getrandbits, self._delay_bits, self._delay_width
+        delay_min, clock, interval = self.delay_min, self.clock, self.current_interval
+        excluded = self.excluded
+        events, queue = self.trace.events, self._queue
+        sender_excluded = sender in excluded
+        msg_id = self._next_msg_id
+        sent = []
+        for receiver in receivers:
+            # randint(delay_min, delay_max) is delay_min plus the first draw
+            # of getrandbits(k) below the range width: exactly randint's values
+            drawn = getrandbits(bits)
+            while drawn >= width:
+                drawn = getrandbits(bits)
+            msg = Message(msg_id, sender, receiver, clock,
+                          clock + (delay_min + drawn if delay is None else delay),
+                          kind, content, interval)
+            if sender_excluded or receiver in excluded:
+                events.append(TraceEvent(msg, False))
+            else:
+                heappush(queue, (msg.delivered_tick, msg_id, msg))
+                sent.append(msg)
+            msg_id += 1
+        self._next_msg_id = msg_id
+        return sent
 
     def run_until(self, flush) -> int:
         """Deliver events in (delivered_tick, msg_id) order until the queue
@@ -120,21 +133,22 @@ class Kernel:
         with a single broadcast. Raises `NonConvergenceError` once the loop
         reaches a tick more than `tick_cap` ticks after the clock it started from.
         """
-        start = self.clock
-        while self._queue:
-            tick = self._queue[0][0]
+        start, cap, queue = self.clock, self.tick_cap, self._queue
+        events, counts = self.trace.events, self.trace.interval_counts
+        handlers, excluded = self.handlers, self.excluded
+        while queue:
+            tick = queue[0][0]
             self.clock = tick
-            if tick - start > self.tick_cap:
+            if tick - start > cap:
                 raise NonConvergenceError(
-                    f"tick cap {self.tick_cap} exceeded at tick {tick}, "
+                    f"tick cap {cap} exceeded at tick {tick}, "
                     f"{tick - start} ticks after the loop began at {start}", self.trace)
-            while self._queue and self._queue[0][0] == tick:
-                _, _, msg = heapq.heappop(self._queue)
-                self.trace.events.append(TraceEvent(message=msg, delivered=True))
-                self.trace.interval_counts[msg.interval] = \
-                    self.trace.interval_counts.get(msg.interval, 0) + 1
-                handler = self.handlers.get(msg.receiver)
-                if handler is not None and msg.receiver not in self.excluded:
+            while queue and queue[0][0] == tick:
+                msg = heappop(queue)[2]
+                events.append(TraceEvent(msg, True))
+                counts[msg.interval] = counts.get(msg.interval, 0) + 1
+                handler = handlers.get(msg.receiver)
+                if handler is not None and msg.receiver not in excluded:
                     handler(self, msg)
             flush(self)
         return self.clock

@@ -264,6 +264,9 @@ def _unit_schedules(rng: random.Random, unit_type: str, slots: int, battery_rank
     return schedules
 
 
+MIN_AGENTS = 5
+
+
 def generate_default_scenario(seed: int, n_agents: int = 8) -> ScenarioConfig:
     """Deterministic default neighborhood-grid scenario.
 
@@ -271,10 +274,10 @@ def generate_default_scenario(seed: int, n_agents: int = 8) -> ScenarioConfig:
     draw among the non-storage units (scaling a storage unit's near-symmetric
     values gives no usable detection signature, so storage is not a default
     attack target; set AgentSpec.is_compromised by hand to override).
-    At least five agents: the small-world degree k=4 needs k < n.
+    At least MIN_AGENTS agents: the small-world degree k=4 needs k < n.
     """
-    if n_agents < 5:
-        raise ValueError(f"n_agents must be >= 5, got {n_agents}")
+    if n_agents < MIN_AGENTS:
+        raise ValueError(f"n_agents must be >= {MIN_AGENTS}, got {n_agents}")
     rng = random.Random(f"ocsim-scenario:{seed}")
     config = ScenarioConfig(seed=seed)
     slots = config.intervals_per_negotiation

@@ -223,9 +223,10 @@ class NegotiationAgent:
             self.restart()
         elif suspect not in self.noticed:
             self.noticed.add(suspect)
-            for nb in sorted(self.neighbors - {suspect}):
-                kernel.send(self.agent_id, nb, "BlacklistNotice", {"suspect": suspect})
-            kernel.send(self.agent_id, self.agent_id, "BlacklistNotice", {"suspect": suspect},
+            notice = {"suspect": suspect}
+            kernel.broadcast(self.agent_id, sorted(self.neighbors - {suspect}),
+                             "BlacklistNotice", notice)
+            kernel.send(self.agent_id, self.agent_id, "BlacklistNotice", notice,
                         delay=self.react_lag)
 
     def exclude_local(self, suspect):
@@ -325,8 +326,7 @@ class NegotiationAgent:
         if self.tamper is not None:
             # one wire view per broadcast, shared by every receiver
             content = self.tamper(content, current_interval=kernel.current_interval)
-        for nb in sorted(self.neighbors):
-            kernel.send(self.agent_id, nb, "WorkingMemoryUpdate", content)
+        kernel.broadcast(self.agent_id, sorted(self.neighbors), "WorkingMemoryUpdate", content)
 
     def own_choice(self):
         entry = self.memory.entries.get(self.agent_id)
@@ -341,33 +341,48 @@ class NegotiationAgent:
 # `Candidate.wire`. Sent wire forms are never mutated and merge_memories only
 # reads what it receives, so a decode adopts a content's entries dict and a
 # candidate's assignment dict as they are, and copies one only to leave out a
-# dropped agent. The one memo, `forms`, holds candidate decodes: it belongs to
-# the interval (run_negotiation clears it), is shared by the agents of one
-# run, which all hold the run's one target, and maps
+# dropped agent. `forms` holds two memos of decodes: it belongs to the
+# interval (run_negotiation clears it), is shared by the agents of one run,
+# which all hold the run's one target, and maps
+#   id(content dict) -> (content, decoded WorkingMemory)
 #   id(wire candidate dict) -> (wire, decoded Candidate)
-# for candidates that lose no dropped agent. Keys are identities, never
-# values (0.0 == -0.0 and 1 == 1.0 hash alike but serialize differently), and
-# each value holds its key's object, so no id is reused while the memo lives.
+# for a content, or a candidate, that loses no dropped agent: every receiver
+# of a broadcast whose blacklist misses it shares one decode. Keys are
+# identities, never values (0.0 == -0.0 and 1 == 1.0 hash alike but serialize
+# differently), and each value holds its key's object, so while the memo
+# lives no id is reused and no content's id is a candidate's.
 
 
 def encode_memory(memory: WorkingMemory) -> dict:
     best = memory.best_candidate
     if best is not None and best.wire is None:
-        best.wire = {"assignment": dict(sorted(best.assignment.items())),
+        assignment = best.assignment
+        best.wire = {"assignment": {aid: assignment[aid] for aid in sorted(assignment)},
                      "objective": best.objective, "stamp": best.stamp}
-    return {"entries": dict(sorted(memory.entries.items())),
+    entries = memory.entries
+    return {"entries": {aid: entries[aid] for aid in sorted(entries)},
             "best": None if best is None else best.wire}
 
 
 def decode_memory(content: dict, drop=(), *, target, forms) -> WorkingMemory:
     """Working memory of a received content, minus the `drop`ped agents, to
     be read only. The entries dict is adopted as it is unless it holds a
-    dropped agent; the candidate's objective is recomputed against `target`."""
-    entries = content["entries"]
-    if not entries.keys().isdisjoint(drop):
+    dropped agent; the candidate's objective is recomputed against `target`.
+    A decode that drops no agent of the content is memoized and shared."""
+    entries, raw = content["entries"], content["best"]
+    shared = not drop or (entries.keys().isdisjoint(drop) and
+                          (raw is None or raw["assignment"].keys().isdisjoint(drop)))
+    if shared:
+        memo = forms.get(id(content))
+        if memo is not None:
+            return memo[1]
+    elif not entries.keys().isdisjoint(drop):
         entries = {aid: entry for aid, entry in entries.items() if aid not in drop}
-    return WorkingMemory(entries=entries,
-                         best_candidate=_decode_candidate(content["best"], drop, target, forms))
+    memory = WorkingMemory(entries=entries,
+                           best_candidate=_decode_candidate(raw, drop, target, forms))
+    if shared:
+        forms[id(content)] = (content, memory)
+    return memory
 
 
 def _trimmed(assignment, drop, stamp, target):

@@ -24,7 +24,7 @@ def test_init_writes_a_valid_scenario(scenario_file):
 def test_init_refuses_a_community_too_small_for_its_topology(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     assert main(["init", "--scenario", str(path), "--agents", "4"]) == 2
-    assert "n_agents" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["violation: --agents 4: must be >= 5"]
     assert not path.exists()
 
 

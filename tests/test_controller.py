@@ -40,6 +40,10 @@ class _Bus:
     def send(self, sender, receiver, kind, content, delay=None):
         self.sent.append((sender, receiver, kind, content, delay))
 
+    def broadcast(self, sender, receivers, kind, content, delay=None):
+        for receiver in receivers:
+            self.send(sender, receiver, kind, content, delay)
+
 
 def _central(ids, k, p, blacklist=()):
     topology = build_small_world(ids, k, p, seed=1)

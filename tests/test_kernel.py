@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import json
 import math
 import random
@@ -97,6 +98,66 @@ def test_excluded_endpoints_are_suppressed_but_traced():
     k.run_until(_no_flush)
     assert delivered == []
     assert [e.delivered for e in k.trace.events] == [False, False]
+
+
+def _send_one(kernel, sender, receiver, kind, content, delay=None):
+    """The reference: schedule one message at a time, with its own msg_id
+    and delay draw, as a plain loop over `Kernel`'s fields."""
+    msg_id = kernel._next_msg_id
+    kernel._next_msg_id += 1
+    drawn = kernel._delays.getrandbits(kernel._delay_bits)
+    while drawn >= kernel._delay_width:
+        drawn = kernel._delays.getrandbits(kernel._delay_bits)
+    if delay is None:
+        delay = kernel.delay_min + drawn
+    msg = Message(msg_id=msg_id, sender=sender, receiver=receiver,
+                  sent_tick=kernel.clock, delivered_tick=kernel.clock + delay,
+                  kind=kind, content=content, interval=kernel.current_interval)
+    if sender in kernel.excluded or receiver in kernel.excluded:
+        kernel.trace.events.append(TraceEvent(message=msg, delivered=False))
+        return None
+    heapq.heappush(kernel._queue, (msg.delivered_tick, msg.msg_id, msg))
+    return msg
+
+
+_endpoint = st.sampled_from(["a", "b", "c", "d"])
+_fan_outs = st.lists(st.tuples(
+    _endpoint, st.lists(_endpoint, max_size=5),  # sender, receivers (may repeat or be empty)
+    st.sampled_from(["WorkingMemoryUpdate", "BlacklistNotice"]),
+    st.none() | st.integers(0, 20),  # delay override
+    st.integers(0, 3), st.integers(0, 2)), max_size=12)  # clock and interval advance
+
+
+@given(st.integers(0, 3), st.integers(1, 4), st.integers(0, 5), st.sets(_endpoint), _fan_outs)
+@settings(max_examples=200, deadline=None)
+def test_broadcast_schedules_as_one_send_per_receiver(seed, lo, width, excluded, fan_outs):
+    """Same msg_ids, delays, suppressed trace events, queue and delivery
+    order as scheduling each copy on its own, and the delay stream left in
+    the same state, also under `delay=` and for no receivers at all."""
+    kernels = [_make_kernel(seed, lo, lo + width) for _ in range(2)]
+    delivered = []
+    for k in kernels:
+        k.excluded.update(excluded)
+        log = []
+        delivered.append(log)
+        for aid in "abcd":
+            k.register(aid, lambda kernel, msg, log=log: log.append((kernel.clock, msg)))
+    got, want = kernels
+    for sender, receivers, kind, delay, advance, next_interval in fan_outs:
+        content = {"from": sender}
+        sent = got.broadcast(sender, receivers, kind, content, delay=delay)
+        reference = [_send_one(want, sender, r, kind, content, delay) for r in receivers]
+        assert sent == [m for m in reference if m is not None]
+        assert got._queue == want._queue and got.trace.events == want.trace.events
+        for k in kernels:
+            k.clock += advance
+            k.current_interval += next_interval
+    assert got._next_msg_id == want._next_msg_id
+    assert got._delays.getstate() == want._delays.getstate()
+    assert got.run_until(_no_flush) == want.run_until(_no_flush)
+    assert delivered[0] == delivered[1]
+    assert got.trace.events == want.trace.events
+    assert got.trace.interval_counts == want.trace.interval_counts
 
 
 def test_interval_counts_match_an_independent_recount():

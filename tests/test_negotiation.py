@@ -477,10 +477,15 @@ def test_receivers_share_a_candidate_decode_unless_they_drop_an_agent_of_it():
 
 def _copying_decode(content, drop, *, target, forms):
     """Decode a content the plain way: copy the entries and the candidate's
-    assignment every time, and memoize a candidate's decode only where it
-    loses no dropped agent."""
+    assignment every time, and memoize a decode, of the content or of its
+    candidate, only where it loses no dropped agent."""
+    raw = content["best"]
+    shared_content = not any(aid in content["entries"] for aid in drop) and \
+        (raw is None or not any(aid in raw["assignment"] for aid in drop))
+    if shared_content and id(content) in forms:
+        return forms[id(content)][1]
     entries = {aid: entry for aid, entry in content["entries"].items() if aid not in drop}
-    raw, best = content["best"], None
+    best = None
     if raw is not None:
         shared = not any(aid in raw["assignment"] for aid in drop)
         assignment = {aid: v for aid, v in raw["assignment"].items() if aid not in drop}
@@ -493,7 +498,10 @@ def _copying_decode(content, drop, *, target, forms):
                 forms[id(raw)] = (raw, best)
                 if repr(best.objective) == repr(raw["objective"]):
                     best.wire = raw
-    return neg.WorkingMemory(entries=entries, best_candidate=best)
+    memory = neg.WorkingMemory(entries=entries, best_candidate=best)
+    if shared_content:
+        forms[id(content)] = (content, memory)
+    return memory
 
 
 ORACLE_IDS = ["a0", "a1", "a2", "a3", "a4"]
@@ -511,11 +519,21 @@ def _wire_candidates(draw):
             "objective": draw(st.sampled_from([claim, -0.0, 0.0, 1.0]))}
 
 
+def _twin(content):
+    """A content equal to `content` in value, with new entry dicts whose
+    zeros change sign: it compares and hashes alike but serializes apart."""
+    return {"entries": {aid: {"values": tuple(-v if v == 0 else v for v in e["values"]),
+                              "revision": e["revision"]}
+                        for aid, e in content["entries"].items()},
+            "best": content["best"]}
+
+
 @st.composite
-def _deliveries(draw):
-    """Contents that share entry and candidate dicts, as broadcasts do, and
-    the (content, drop set) of each delivery in turn; a drop set may hit the
-    content, miss it, or be empty."""
+def _episodes(draw):
+    """Contents that share entry and candidate dicts, as broadcasts do, plus
+    a twin of the first, and per episode the (content, drop set) of each
+    delivery in turn; a content may recur in a later episode, and a drop set
+    may hit the content, miss it, or be empty."""
     entries = draw(st.lists(st.builds(lambda v, r: {"values": v, "revision": r},
                                       wire_values, st.integers(0, 2)), min_size=1))
     candidates = draw(st.lists(_wire_candidates(), max_size=3))
@@ -524,32 +542,69 @@ def _deliveries(draw):
         aids = sorted(draw(st.sets(st.sampled_from(ORACLE_IDS))))
         contents.append({"entries": {aid: draw(st.sampled_from(entries)) for aid in aids},
                          "best": draw(st.sampled_from([None] + candidates))})
+    contents.append(_twin(contents[0]))
     drops = st.sets(st.sampled_from(ORACLE_IDS + ["outsider"]), max_size=2)
-    return [(draw(st.sampled_from(contents)), draw(drops))
-            for _ in range(draw(st.integers(1, 8)))]
+    deliveries = st.lists(st.tuples(st.sampled_from(contents), drops), min_size=1, max_size=8)
+    return draw(st.lists(deliveries, min_size=1, max_size=3))
+
+
+def _candidate_view(candidate, forms):
+    """A candidate's exact floats, stamp, wire and whether the memo holds it."""
+    if candidate is None:
+        return None
+    return (repr(list(candidate.assignment.items())), repr(candidate.objective),
+            candidate.stamp, id(candidate.wire), any(c is candidate for _, c in forms.values()))
+
+
+def _memory_view(memory, forms):
+    """A decoded memory's entries (order and identity) and candidate."""
+    return ([(aid, id(entry)) for aid, entry in memory.entries.items()],
+            _candidate_view(memory.best_candidate, forms))
 
 
 def _decode_view(memory, forms):
-    """Everything a decode hands on: its entries (order and identity), its
-    candidate (exact floats, stamp, wire, whether the memo holds it) and the
-    memo's contents."""
-    best = memory.best_candidate
-    if best is not None:
-        memoized = any(c is best for _, c in forms.values())
-        best = (repr(list(best.assignment.items())), repr(best.objective), best.stamp,
-                id(best.wire), memoized)
-    memo = {key: (id(raw), repr(list(c.assignment.items())), repr(c.objective), id(c.wire))
-            for key, (raw, c) in forms.items()}
-    return [(aid, id(entry)) for aid, entry in memory.entries.items()], best, memo
+    """Everything a decode hands on: its entries, its candidate, whether the
+    memo holds the decode, and the memo's contents (decoded contents and
+    candidates, by the identity of their wire dicts)."""
+    memo = {key: (id(raw), _candidate_view(value, forms) if isinstance(value, neg.Candidate)
+                  else _memory_view(value, forms))
+            for key, (raw, value) in forms.items()}
+    return _memory_view(memory, forms), any(m is memory for _, m in forms.values()), memo
+
+
+class _Episode:
+    """The one agent of an episode under `run_negotiation`, which hands it
+    the interval's memo as `forms` and clears it at the end; `initiate`
+    decodes the deliveries of `decode`."""
+
+    def __init__(self):
+        self.forms, self.decode = None, None
+
+    def reset_for_interval(self, jitter):
+        pass
+
+    def initiate(self, kernel):
+        self.decode(self.forms)
+
+    def own_choice(self):
+        return None
 
 
 @pytest.mark.hashseed
-@given(_deliveries())
+@given(_episodes())
 @settings(max_examples=300)
-def test_decoding_matches_the_copying_reference(deliveries):
+def test_decoding_matches_the_copying_reference(episodes):
     target = [0.0] * SLOTS
-    forms, reference_forms = {}, {}
-    for content, drop in deliveries:
-        got = neg.decode_memory(content, drop, target=target, forms=forms)
-        want = _copying_decode(content, drop, target=target, forms=reference_forms)
-        assert _decode_view(got, forms) == _decode_view(want, reference_forms)
+    agent, kernel = _Episode(), Kernel(0, 1, 1)
+    for deliveries in episodes:
+        reference_forms = {}
+
+        def decode(forms):
+            for content, drop in deliveries:
+                got = neg.decode_memory(content, drop, target=target, forms=forms)
+                want = _copying_decode(content, drop, target=target, forms=reference_forms)
+                assert _decode_view(got, forms) == _decode_view(want, reference_forms)
+
+        agent.decode = decode
+        neg.run_negotiation(kernel, {"a0": agent}, "a0", {})
+        assert agent.forms == {}  # the memo ends with its episode

@@ -314,7 +314,8 @@ def test_a_receiver_copies_a_delivered_update_only_where_it_drops_an_agent(monke
     """Every accepted update is decoded on delivery. A receiver whose
     blacklist misses the content adopts its entries dict, and one that misses
     the candidate gets the memo's decode of the wire candidate; one that
-    drops an agent gets copies without it. Under decentralized control the
+    misses both shares the memo's decode of the content; one that drops an
+    agent gets copies without it. Under decentralized control the
     receivers' blacklists differ while the blacklist gossip spreads."""
     decodes = []
     decode = neg.decode_memory
@@ -322,15 +323,18 @@ def test_a_receiver_copies_a_delivered_update_only_where_it_drops_an_agent(monke
     def recording(content, drop=(), **kwargs):
         memory = decode(content, drop, **kwargs)
         memoized = kwargs["forms"].get(id(content["best"]), (None, None))[1]
-        decodes.append((content, set(drop), memory, memoized))
+        shared = kwargs["forms"].get(id(content), (None, None))[1]
+        decodes.append((content, set(drop), memory, memoized, memory is shared))
         return memory
 
     monkeypatch.setattr(neg, "decode_memory", recording)
     result = run_scenario(decentralized_run.config)
     assert digest_result(result) == digest_result(decentralized_run)
     hits = 0
-    for content, drop, memory, memoized in decodes:
+    for content, drop, memory, memoized, shared in decodes:
         entries, raw = content["entries"], content["best"]
+        assert shared == (drop.isdisjoint(entries) and
+                          (raw is None or drop.isdisjoint(raw["assignment"])))
         if drop.isdisjoint(entries):
             assert memory.entries is entries
         else:
