@@ -13,24 +13,28 @@ from operator import add, sub
 from .model import UnitModel, quantize
 
 
-def objective(aggregate, target) -> float:
-    """L1 distance of the aggregate power vector to the target profile."""
-    if len(aggregate) != len(target):
-        raise ValueError(f"length mismatch: {len(aggregate)} vs {len(target)}")
-    return sum(map(abs, map(sub, aggregate, target)))
+def objective(aggregate) -> float:
+    """L1 norm of the aggregate power vector: its distance from perfect
+    self-consumption (zero in every slot). Adds left to right, as `sum` does
+    before Python 3.12 (later ones compensate), so the float is the same on
+    every Python."""
+    total = 0.0
+    for v in aggregate:
+        total += abs(v)
+    return total
 
 
-def choose_best_schedule(feasible_schedules, others_aggregate, target) -> int:
+def choose_best_schedule(feasible_schedules, others_aggregate) -> int:
     """Index of the feasible schedule minimizing the joint objective given the
     other agents' aggregate; ties broken by lowest index."""
     if feasible_schedules and len(feasible_schedules[0]) != len(others_aggregate):
         raise ValueError("others_aggregate length does not match schedule length")
-    if feasible_schedules and len(others_aggregate) != len(target):
-        raise ValueError(f"length mismatch: {len(others_aggregate)} vs {len(target)}")
     best_idx, best_obj = 0, None
     for i, sched in enumerate(feasible_schedules):
-        # objective() inlined, in the same order of float operations
-        obj = sum(map(abs, map(sub, map(add, others_aggregate, sched), target)))
+        # objective() inlined, adding in the same order
+        obj = 0.0
+        for a, b in zip(others_aggregate, sched):
+            obj += abs(a + b)
         if best_obj is None or obj < best_obj:
             best_idx, best_obj = i, obj
     return best_idx
@@ -128,12 +132,12 @@ class NegotiationAgent:
     """One community participant. Owns one or more units (after task
     reassignment) whose candidate sets are cross-summed into its feasible set."""
 
-    def __init__(self, agent_id, unit, target):
+    def __init__(self, agent_id, unit):
         self.agent_id = agent_id
         self.units = [unit]
         self.feasible = [tuple(s) for s in unit.feasible_schedules]
         self.feasible_set = set(self.feasible)
-        self.target = target  # the run's one target, shared by its agents (see forms)
+        self.slots = len(self.feasible[0])  # validate_scenario ties every schedule to it
         self.neighbors = set()
         self.topology_generation = 0
         self.blacklist = set()
@@ -170,7 +174,7 @@ class NegotiationAgent:
 
     # --- episode protocol ---
     def _fresh_memory(self):
-        return WorkingMemory(sums=[0.0] * len(self.target) if self.exact_sums else None)
+        return WorkingMemory(sums=[0.0] * self.slots if self.exact_sums else None)
 
     def reset_for_interval(self, jitter_by_unit):
         self.memory = self._fresh_memory()
@@ -191,7 +195,7 @@ class NegotiationAgent:
         if kind == "WorkingMemoryUpdate":
             if msg.sender in self.blacklist:
                 return
-            received = decode_memory(content, self.blacklist, target=self.target, forms=self.forms)
+            received = decode_memory(content, self.blacklist, forms=self.forms)
             if merge_memories(self.memory, received)[1]:
                 self.dirty = True
         elif kind == "BlacklistNotice":
@@ -240,8 +244,7 @@ class NegotiationAgent:
             self.memory.sums = list(map(sub, self.memory.sums, gone["values"]))
         best = self.memory.best_candidate
         if best is not None and suspect in best.assignment:
-            self.memory.best_candidate = _trimmed(best.assignment, (suspect,), best.stamp,
-                                                  self.target)
+            self.memory.best_candidate = _trimmed(best.assignment, (suspect,), best.stamp)
         return True
 
     def restart(self):
@@ -264,15 +267,6 @@ class NegotiationAgent:
             self.exclude_local(suspect)
 
     # --- internals ---
-    def _others_aggregate(self):
-        agg = [0.0] * len(self.target)
-        for aid, entry in self.memory.entries.items():
-            if aid == self.agent_id:
-                continue
-            for t, v in enumerate(entry["values"]):
-                agg[t] += v
-        return agg
-
     def _set_own(self, values):
         cur = self.memory.entries[self.agent_id]
         if tuple(values) != cur["values"]:
@@ -296,24 +290,25 @@ class NegotiationAgent:
         entries = memory.entries
         own = entries.get(self.agent_id)
         if memory.sums is None:
-            others = self._others_aggregate()
+            others = aggregate_of({aid: entry["values"] for aid, entry in entries.items()
+                                   if aid != self.agent_id}, self.slots)
         elif own is None:
             others = memory.sums
         else:
             others = list(map(sub, memory.sums, own["values"]))
-        chosen = self.feasible[choose_best_schedule(self.feasible, others, self.target)]
+        chosen = self.feasible[choose_best_schedule(self.feasible, others)]
         if own is None:  # a first reply commits to its best response
             memory.put(self.agent_id, {"values": chosen, "revision": 0})
         best, obj = memory.best_candidate, None  # None: the ordered sum, below
         if memory.sums is not None:
-            obj = objective(list(map(add, others, chosen)), self.target)
+            obj = objective(map(add, others, chosen))
         # one covering fewer agents, or as many at a higher objective, cannot win
         if obj is None or best is None or \
                 (len(best.assignment), obj) <= (len(entries), best.objective):
             assignment = {aid: entry["values"] for aid, entry in entries.items()}
             assignment[self.agent_id] = chosen
             if obj is None:
-                obj = objective(aggregate_of(assignment, len(self.target)), self.target)
+                obj = objective(aggregate_of(assignment, self.slots))
             cand = Candidate(assignment, obj, stamp=(kernel.clock, self.agent_id))
             if candidate_better(cand, best):
                 memory.best_candidate = cand
@@ -343,7 +338,7 @@ class NegotiationAgent:
 # candidate's assignment dict as they are, and copies one only to leave out a
 # dropped agent. `forms` holds two memos of decodes: it belongs to the
 # interval (run_negotiation clears it), is shared by the agents of one run,
-# which all hold the run's one target, and maps
+# and maps
 #   id(content dict) -> (content, decoded WorkingMemory)
 #   id(wire candidate dict) -> (wire, decoded Candidate)
 # for a content, or a candidate, that loses no dropped agent: every receiver
@@ -364,10 +359,10 @@ def encode_memory(memory: WorkingMemory) -> dict:
             "best": None if best is None else best.wire}
 
 
-def decode_memory(content: dict, drop=(), *, target, forms) -> WorkingMemory:
+def decode_memory(content: dict, drop=(), *, forms) -> WorkingMemory:
     """Working memory of a received content, minus the `drop`ped agents, to
     be read only. The entries dict is adopted as it is unless it holds a
-    dropped agent; the candidate's objective is recomputed against `target`.
+    dropped agent; the candidate's objective is recomputed from its assignment.
     A decode that drops no agent of the content is memoized and shared."""
     entries, raw = content["entries"], content["best"]
     shared = not drop or (entries.keys().isdisjoint(drop) and
@@ -379,13 +374,13 @@ def decode_memory(content: dict, drop=(), *, target, forms) -> WorkingMemory:
     elif not entries.keys().isdisjoint(drop):
         entries = {aid: entry for aid, entry in entries.items() if aid not in drop}
     memory = WorkingMemory(entries=entries,
-                           best_candidate=_decode_candidate(raw, drop, target, forms))
+                           best_candidate=_decode_candidate(raw, drop, forms))
     if shared:
         forms[id(content)] = (content, memory)
     return memory
 
 
-def _trimmed(assignment, drop, stamp, target):
+def _trimmed(assignment, drop, stamp):
     """The candidate of `assignment` without the `drop`ped agents, with the
     given stamp and its objective recomputed in order; None when no agent is
     left. The assignment dict is adopted as it is unless it holds a dropped
@@ -394,11 +389,11 @@ def _trimmed(assignment, drop, stamp, target):
         assignment = {aid: v for aid, v in assignment.items() if aid not in drop}
     if not assignment:
         return None
-    return Candidate(assignment, objective(aggregate_of(assignment, len(target)), target),
-                     stamp=stamp)
+    slots = len(next(iter(assignment.values())))
+    return Candidate(assignment, objective(aggregate_of(assignment, slots)), stamp=stamp)
 
 
-def _decode_candidate(raw, drop, target, forms):
+def _decode_candidate(raw, drop, forms):
     if raw is None:
         return None
     # a candidate losing dropped agents is decoded anew for each receiver
@@ -408,7 +403,7 @@ def _decode_candidate(raw, drop, target, forms):
     # never trust the claimed objective: recompute from the assignment, so a
     # candidate whose values were falsified in transit cannot ride on a stale
     # claim
-    best = _trimmed(raw["assignment"], drop, raw["stamp"], target)
+    best = _trimmed(raw["assignment"], drop, raw["stamp"])
     if shared and best is not None:
         forms[id(raw)] = (raw, best)
         if repr(best.objective) == repr(raw["objective"]):

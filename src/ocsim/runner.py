@@ -87,12 +87,11 @@ class Simulation:
         if violations:
             raise ScenarioError(violations)
         self.config = config
-        self.target = [0.0] * config.intervals_per_negotiation  # perfect self-consumption
 
         self.agents = {}
         exact = exact_sums(config)
         for spec in config.agents:
-            agent = neg.NegotiationAgent(spec.agent_id, spec.unit, self.target)
+            agent = neg.NegotiationAgent(spec.agent_id, spec.unit)
             agent.exact_sums = exact
             agent.react_lag = random.Random(
                 f"ocsim-react:{config.seed}:{spec.agent_id}").randint(8, 64)
@@ -212,8 +211,8 @@ class Simulation:
                 initiator = rng.choice(active)
                 assignment, duration = neg.run_negotiation(
                     self.kernel, self.agents, initiator, self._interval_jitter(interval))
-                aggregate = neg.aggregate_of(assignment, len(self.target))
-                quality = neg.objective(aggregate, self.target)
+                aggregate = neg.aggregate_of(assignment, cfg.intervals_per_negotiation)
+                quality = neg.objective(aggregate)
                 records.append(IntervalRecord(
                     interval=interval, convergence_ticks=_report_duration(duration),
                     solution_quality=quality,

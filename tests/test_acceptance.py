@@ -195,21 +195,20 @@ def test_criterion_7_determinism(tmp_path):
 def _small_community(seed, slots=4):
     rng = random.Random(f"acceptance-oracle:{seed}")
     ids = [f"a{i:02d}" for i in range(6)]
-    target = [0.0] * slots
     agents = {}
     for aid in ids:
         schedules = [tuple(round(rng.uniform(-4, 4), 2) for _ in range(slots))
                      for _ in range(rng.randint(2, 5))]
         unit = UnitModel(unit_id=f"u-{aid}", unit_type="Household",
                          feasible_schedules=schedules)
-        agents[aid] = neg.NegotiationAgent(aid, unit, target)
+        agents[aid] = neg.NegotiationAgent(aid, unit)
     topology = build_small_world(ids, 2, 0.2, seed)
     for aid, agent in agents.items():
         agent.neighbors = set(topology.neighbors(aid))
     kernel = Kernel(seed, 1, 3)
     for aid, agent in agents.items():
         kernel.register(aid, (lambda a: lambda k, m: a.handle(k, m))(agent))
-    return kernel, agents, ids, target
+    return kernel, agents, ids
 
 
 def test_criterion_8_oracle_equivalence():
@@ -217,15 +216,15 @@ def test_criterion_8_oracle_equivalence():
     ok = True
     # converged assignments beat every single-agent deviation
     for seed in SEEDS:
-        kernel, agents, ids, target = _small_community(seed)
+        kernel, agents, ids = _small_community(seed)
         assignment, _ = neg.run_negotiation(kernel, agents, ids[0], {})
         ok &= set(assignment) == set(ids)
-        base = neg.objective(neg.aggregate_of(assignment, slots), target)
+        base = neg.objective(neg.aggregate_of(assignment, slots))
         for aid in ids:
             for schedule in agents[aid].feasible:
                 trial = dict(assignment)
                 trial[aid] = tuple(schedule)
-                alt = neg.objective(neg.aggregate_of(trial, slots), target)
+                alt = neg.objective(neg.aggregate_of(trial, slots))
                 ok &= alt >= base - 1e-9
     # the local best response matches a brute-force argmin
     rng = random.Random("acceptance-argmin")
@@ -234,11 +233,10 @@ def test_criterion_8_oracle_equivalence():
         schedules = [tuple(rng.uniform(-5, 5) for _ in range(slots))
                      for _ in range(rng.randint(1, 8))]
         others = [rng.uniform(-10, 10) for _ in range(slots)]
-        target = [rng.uniform(-3, 3) for _ in range(slots)]
-        objectives = [neg.objective([o + s for o, s in zip(others, sched)], target)
+        objectives = [neg.objective([o + s for o, s in zip(others, sched)])
                       for sched in schedules]
         want = min(range(len(schedules)), key=lambda i: (objectives[i], i))
-        if neg.choose_best_schedule(schedules, others, target) != want:
+        if neg.choose_best_schedule(schedules, others) != want:
             mismatches += 1
     ok &= mismatches == 0
     _verdict(8, "negotiation matches exhaustive enumeration "

@@ -47,6 +47,25 @@ def test_run_writes_all_artifacts(tmp_path, scenario_file, capsys):
     assert "completed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("root", ["custom", None])
+def test_run_without_out_writes_under_the_output_root(tmp_path, scenario_file, monkeypatch,
+                                                      root):
+    """`OCSIM_OUTPUT_ROOT` sets where a run without `--out` writes; unset,
+    that is `./runs`."""
+    monkeypatch.chdir(tmp_path)
+    if root is None:
+        monkeypatch.delenv("OCSIM_OUTPUT_ROOT", raising=False)
+    else:
+        monkeypatch.setenv("OCSIM_OUTPUT_ROOT", str(tmp_path / root))
+    assert main(["run", "--scenario", str(scenario_file)]) == 0
+    out = tmp_path / (root or "runs")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "completed"
+    assert (out / "trace.jsonl").stat().st_size > 0
+    if root is not None:
+        assert not (tmp_path / "runs").exists()
+
+
 def test_run_rejects_invalid_scenario(tmp_path, scenario_file, capsys):
     config = model.load_scenario(scenario_file)
     config.info_level = 9

@@ -10,7 +10,7 @@ from ocsim.topology import DegradedSystemError, build_small_world
 def _agent(aid, neighbors):
     unit = UnitModel(unit_id=f"u-{aid}", unit_type="PV",
                      feasible_schedules=[(-1.0,) * 4])
-    agent = neg.NegotiationAgent(aid, unit, [0.0] * 4)
+    agent = neg.NegotiationAgent(aid, unit)
     agent.neighbors = set(neighbors)
     return agent
 

@@ -80,16 +80,22 @@ SCOPED_REPORT_DIGESTS = {
 
 # attack mode -> (report list, trace.jsonl) SHA-256 of a level-4 Decentralized
 # observer run without a controller; pins the wire view `attack.tamper` writes
-# for the two modes the default scenario does not use
+# for the two modes the default scenario does not use. The off-grid Replace
+# values make sums whose float depends on the order of addition, so its
+# digests pin the left-to-right objective on every Python (sum() compensates
+# from 3.12 on)
 ATTACKS = {
     "Offset": AttackConfig(mode="Offset", offset_kw=1.5),
     "Replace": AttackConfig(mode="Replace", replacement=[9.0, 9.0, 9.0, 9.0]),
+    "Replace off-grid": AttackConfig(mode="Replace", replacement=[0.1, 0.2, 0.3, 0.0]),
 }
 ATTACK_DIGESTS = {
     "Offset": ("08d21e265d4c4e0da3d07acecce605621b4d54cbd460ba663b7be6a62639a587",
                "795b9877abe11fcb84a27b9578c1cc0fb9c585c6da0d9deb8f2a3b1b965d87b5"),
     "Replace": ("dfe5b2c4b35d9b62ae3a23ba81530de3f938b19066a68293bbb16bc6ad375304",
                 "3aeeb330dc1a52db5356f8abb0d0fac6b167b03237b85e4e9ea3d263abd42450"),
+    "Replace off-grid": ("f9aa19b7f590e783d4ab4fe1c1ca88965d3319175c0332dc079dc405f40f34d8",
+                         "2cc5b88199795647fae617a3da52d5976ec1d2a0269fa8632a2a540959571802"),
 }
 
 

@@ -302,13 +302,6 @@ def test_no_wire_form_memo_outlives_the_run(controller):
     assert all(not agent.forms for agent in result.agents.values())
 
 
-def test_every_agent_holds_the_runs_one_target():
-    """The candidate memo leaves the target out of its key: every agent
-    recomputes objectives against the same list."""
-    sim = Simulation(generate_default_scenario(seed=1))
-    assert all(agent.target is sim.target for agent in sim.agents.values())
-
-
 def test_a_receiver_copies_a_delivered_update_only_where_it_drops_an_agent(monkeypatch,
                                                                          decentralized_run):
     """Every accepted update is decoded on delivery. A receiver whose
@@ -539,16 +532,25 @@ def test_an_attack_that_never_falsifies_keeps_running_sums():
 def test_on_grid_runs_never_sum_the_others_in_order(monkeypatch, scale_factor, exact):
     """On the grid a reply takes the others' aggregate from the running sums;
     off it, every `respond` or `initiate` sums the others in order once."""
-    calls = dict.fromkeys(["_others_aggregate", "respond", "initiate"], 0)
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(neg.NegotiationAgent, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    replying = []  # the id of the agent whose reply is running
+    calls = dict.fromkeys(["others", "replies"], 0)
+    for name in ("respond", "initiate"):
+        def counting(agent, *args, _original=getattr(neg.NegotiationAgent, name), **kwargs):
+            calls["replies"] += 1
+            replying.append(agent.agent_id)
+            try:
+                return _original(agent, *args, **kwargs)
+            finally:
+                replying.pop()
         monkeypatch.setattr(neg.NegotiationAgent, name, counting)
+
+    def aggregate_of(assignment, slots, _original=neg.aggregate_of):
+        calls["others"] += bool(replying) and replying[-1] not in assignment
+        return _original(assignment, slots)
+    monkeypatch.setattr(neg, "aggregate_of", aggregate_of)
     run_scenario(_with_attack(generate_default_scenario(seed=1), scale_factor=scale_factor))
-    replies = calls["respond"] + calls["initiate"]
-    assert replies > 0
-    assert calls["_others_aggregate"] == (0 if exact else replies)
+    assert calls["replies"] > 0
+    assert calls["others"] == (0 if exact else calls["replies"])
 
 
 @pytest.mark.parametrize("controller", ["Decentralized", "MultiLeveled"])
